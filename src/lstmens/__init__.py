@@ -54,7 +54,7 @@ from .evaluation import (
     significance_stars,
     t_test,
 )
-from .mathkit import log_softmax, matmul, sigmoid, softmax, tanh_vec
+from .mathkit import log_softmax, sigmoid, softmax, tanh_vec
 from .modelio import ModelFormatError, ModelMeta, load_model, save_model
 from .network import (
     LstmLayerParams,

@@ -1,4 +1,4 @@
-"""Dense double-precision kernels: matrix product and stable nonlinearities.
+"""Dense double-precision kernels: stable nonlinearities and averaging.
 
 All math in the package runs in float64. The nonlinearities are written in
 branch-stable forms (no exponentiation of large positive arguments) and their
@@ -15,33 +15,33 @@ _TINY = np.finfo(np.float64).tiny
 _ONE_BELOW = np.nextafter(1.0, 0.0)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.ndim}-d and {b.ndim}-d")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def sigmoid(v: np.ndarray) -> np.ndarray:
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic function, stable for any finite input.
 
     Only exp(-|x|) is ever evaluated, so large positive inputs cannot
-    overflow; outputs are clipped into the open interval (0, 1).
+    overflow; the result is 1/(1+e) for x >= 0 and e/(1+e) below, clipped
+    into the open interval (0, 1). out, if given, receives the result and
+    may be v itself.
     """
     v = np.asarray(v, dtype=np.float64)
     e = np.exp(-np.abs(v))
-    out = np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.clip(out, _TINY, _ONE_BELOW)
+    num = np.where(v >= 0.0, 1.0, e)
+    e += 1.0
+    return _clip_into(np.divide(num, e, out=out), _TINY, _ONE_BELOW)
 
 
-def tanh_vec(v: np.ndarray) -> np.ndarray:
-    """Elementwise tanh with outputs kept strictly inside (-1, 1)."""
-    out = np.tanh(np.asarray(v, dtype=np.float64))
-    return np.clip(out, -_ONE_BELOW, _ONE_BELOW)
+def tanh_vec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise tanh with outputs kept strictly inside (-1, 1); out as in
+    sigmoid."""
+    result = np.tanh(np.asarray(v, dtype=np.float64), out=out)
+    return _clip_into(result, -_ONE_BELOW, _ONE_BELOW)
+
+
+def _clip_into(out: np.ndarray, low: float, high: float) -> np.ndarray:
+    """np.clip(out, low, high) written into out (same values, NaN kept)."""
+    np.maximum(out, low, out=out)
+    np.minimum(out, high, out=out)
+    return out
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -17,17 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (
-    LAYER_BIASES,
-    LAYER_WEIGHTS,
-    LstmLayerParams,
-    LstmNetwork,
-    OutputLayerParams,
-)
+from .network import LstmNetwork
+from .training import LossKind
 
 
 FORMAT_TAG = "LSTMENS"
 FORMAT_VERSION = "v1"
+LOSS_KINDS = tuple(kind.value for kind in LossKind)
 
 
 class ModelFormatError(ValueError):
@@ -63,16 +59,7 @@ def _fail(lineno: int, msg: str):
 def _zeros_network(d: int, h: int, k: int, n_layers: int) -> LstmNetwork:
     if min(d, h, k, n_layers) < 1:
         raise ModelFormatError(f"invalid model dimensions D={d} H={h} K={k} layers={n_layers}")
-    layers = []
-    for idx in range(n_layers):
-        d_in = d if idx == 0 else h
-        weights = {
-            name: np.zeros((d_in if name.startswith("wx") else h, h))
-            for name in LAYER_WEIGHTS
-        }
-        biases = {name: np.zeros(h) for name in LAYER_BIASES}
-        layers.append(LstmLayerParams(**weights, **biases))
-    return LstmNetwork(layers, OutputLayerParams(np.zeros((h, k)), np.zeros(k)))
+    return LstmNetwork.zeros(d, h, k, n_layers)
 
 
 def load_model(path) -> tuple[LstmNetwork, ModelMeta]:
@@ -95,6 +82,10 @@ def load_model(path) -> tuple[LstmNetwork, ModelMeta]:
         meta = ModelMeta(loss=cfg[4], epoch=int(cfg[5]), val_f1=float(cfg[6]))
     except ValueError:
         _fail(2, f"malformed dimension header: {lines[1]!r}")
+    if meta.loss not in LOSS_KINDS:
+        _fail(2, f"unknown loss kind {meta.loss!r}, expected one of {', '.join(LOSS_KINDS)}")
+    if not np.isfinite(meta.val_f1):
+        _fail(2, f"non-finite val_f1 {cfg[6]!r}")
 
     net = _zeros_network(d, h, k, n_layers)
     expected = {name: arr for name, arr in net.param_items()}

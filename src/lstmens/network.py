@@ -1,17 +1,21 @@
 """Multi-layer LSTM network: parameters, per-sample forward pass, inference.
 
-Weight layout: the input-to-hidden block (D_in x H) and the hidden-to-hidden
-block (H x H) of each gate are stored separately; stacking them vertically
-recovers the usual combined (D_in+H) x H gate matrix acting on [x, h]. Gate
-preactivations are computed as x @ Wx + h @ Wh + b.
+Weight layout: each layer stores its gates fused, as wx (D_in x 4H), wh
+(H x 4H) and b (4H), with the gate column blocks in the order [f, i, o, g];
+stacking wx on wh gives the usual combined (D_in+H) x 4H matrix acting on
+[x, h]. All tensors of one network, the output head included, are views into
+one contiguous float64 vector (`LstmNetwork.flat`), laid out layer by layer
+as [wx, wh, b] and then [w, b] of the head, so a snapshot is one copy and the
+optimizer is one vectorized update. The per-gate names (wxf, whf, ... bo; c
+names the cell candidate g) are column views of the fused tensors: model
+files, initialisation and the gradient oracle address parameters by them.
 
 Per timestep and layer, with sigmoid s and previous (h, c):
 
-    f = s(x@Wxf + h@Whf + bf)          forget gate
-    i = s(x@Wxi + h@Whi + bi)          input gate
-    g = tanh(x@Wxc + h@Whc + bc)       cell candidate
+    a = x@Wx + h@Wh + b                fused preactivations, (B, 4H)
+    [f, i, o] = s(a[:, :3H])           forget, input, output gates
+    g = tanh(a[:, 3H:])                cell candidate
     c' = f * c + i * g                 new cell state
-    o = s(x@Wxo + h@Who + bo)          output gate
     h' = o * tanh(c')                  new hidden state
 
 The last layer's hidden state feeds a linear head: logits = h' @ W + b.
@@ -34,46 +38,95 @@ from .rng import Rng
 # optimizer all iterate parameters in this order
 LAYER_WEIGHTS = ("wxf", "whf", "wxi", "whi", "wxc", "whc", "wxo", "who")
 LAYER_BIASES = ("bf", "bi", "bc", "bo")
+# column-block order of the gates inside wx, wh and b
+GATE_ORDER = ("f", "i", "o", "c")
 
 
-@dataclass
-class LstmLayerParams:
-    wxf: np.ndarray
-    whf: np.ndarray
-    wxi: np.ndarray
-    whi: np.ndarray
-    wxc: np.ndarray
-    whc: np.ndarray
-    wxo: np.ndarray
-    who: np.ndarray
-    bf: np.ndarray
-    bi: np.ndarray
-    bc: np.ndarray
-    bo: np.ndarray
+class _ParamBlock:
+    """Tensors that are views into one 1-d buffer `buf`, set up by _bind."""
+
+    @classmethod
+    def view(cls, buf: np.ndarray, *dims: int):
+        """A block of the given dims viewing buf (no copy)."""
+        block = cls.__new__(cls)
+        block._bind(buf, *dims)
+        return block
+
+    @classmethod
+    def zeros(cls, *dims: int):
+        return cls.view(np.zeros(cls.size(*dims)), *dims)
+
+
+class LstmLayerParams(_ParamBlock):
+    """One layer's fused parameters wx (D_in, 4H), wh (H, 4H), b (4H).
+
+    Built from the twelve per-gate tensors (LAYER_WEIGHTS + LAYER_BIASES as
+    keywords); afterwards each per-gate name is a view into the fused block.
+    """
+
+    def __init__(self, **tensors):
+        names = set(LAYER_WEIGHTS + LAYER_BIASES)
+        if set(tensors) != names:
+            raise TypeError(f"LstmLayerParams needs exactly the tensors {sorted(names)}")
+        d_in, hidden = np.shape(tensors["wxf"])
+        self._bind(np.empty(self.size(d_in, hidden)), d_in, hidden)
+        for name, value in tensors.items():
+            getattr(self, name)[...] = value
+
+    @staticmethod
+    def size(d_in: int, hidden: int) -> int:
+        return (d_in + hidden + 1) * 4 * hidden
+
+    def _bind(self, buf: np.ndarray, d_in: int, hidden: int) -> None:
+        width = 4 * hidden
+        self.buf = buf
+        self.wx = buf[: d_in * width].reshape(d_in, width)
+        self.wh = buf[d_in * width : (d_in + hidden) * width].reshape(hidden, width)
+        self.b = buf[(d_in + hidden) * width :]
+        for k, gate in enumerate(GATE_ORDER):
+            cols = slice(k * hidden, (k + 1) * hidden)
+            setattr(self, "wx" + gate, self.wx[:, cols])
+            setattr(self, "wh" + gate, self.wh[:, cols])
+            setattr(self, "b" + gate, self.b[cols])
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.input_dim, self.hidden_dim
 
     @property
     def input_dim(self) -> int:
-        return self.wxf.shape[0]
+        return self.wx.shape[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.wxf.shape[1]
+        return self.wh.shape[0]
 
     def tensors(self):
         for name in LAYER_WEIGHTS + LAYER_BIASES:
             yield name, getattr(self, name)
 
-    def copy(self) -> "LstmLayerParams":
-        return LstmLayerParams(**{name: arr.copy() for name, arr in self.tensors()})
 
+class OutputLayerParams(_ParamBlock):
+    """Linear head w (H, K), b (K,), stored as views into one buffer."""
 
-@dataclass
-class OutputLayerParams:
-    w: np.ndarray  # (H, K)
-    b: np.ndarray  # (K,)
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        hidden, k = np.shape(w)
+        self._bind(np.empty(self.size(hidden, k)), hidden, k)
+        self.w[...] = w
+        self.b[...] = b
 
-    def copy(self) -> "OutputLayerParams":
-        return OutputLayerParams(self.w.copy(), self.b.copy())
+    @staticmethod
+    def size(hidden: int, k: int) -> int:
+        return (hidden + 1) * k
+
+    def _bind(self, buf: np.ndarray, hidden: int, k: int) -> None:
+        self.buf = buf
+        self.w = buf[: hidden * k].reshape(hidden, k)
+        self.b = buf[hidden * k :]
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.w.shape
 
 
 @dataclass
@@ -87,10 +140,39 @@ class LstmState:
         return LstmState([v.copy() for v in self.h], [v.copy() for v in self.c])
 
 
-@dataclass
 class LstmNetwork:
-    layers: list[LstmLayerParams]
-    output: OutputLayerParams
+    """Stacked LSTM layers plus a linear head over one flat parameter vector.
+
+    The constructor copies the given blocks' values into a fresh `flat`; the
+    network's own layers and head are views into it.
+    """
+
+    def __init__(self, layers: list[LstmLayerParams], output: OutputLayerParams):
+        flat = np.concatenate([p.buf for p in (*layers, output)])
+        self._bind(flat, [la.dims for la in layers], output.dims)
+
+    def _bind(self, flat: np.ndarray, layer_dims, head_dims) -> None:
+        self.flat, self.layers, offset = flat, [], 0
+        for dims in layer_dims:
+            size = LstmLayerParams.size(*dims)
+            self.layers.append(LstmLayerParams.view(flat[offset : offset + size], *dims))
+            offset += size
+        self.output = OutputLayerParams.view(flat[offset:], *head_dims)
+
+    @classmethod
+    def zeros(cls, input_dim: int, hidden_dim: int, num_classes: int,
+              num_layers: int) -> "LstmNetwork":
+        d_ins = [input_dim] + [hidden_dim] * (num_layers - 1)
+        return cls([LstmLayerParams.zeros(d, hidden_dim) for d in d_ins],
+                   OutputLayerParams.zeros(hidden_dim, num_classes))
+
+    def with_flat(self, flat: np.ndarray) -> "LstmNetwork":
+        """A network of this shape whose tensors are views into flat (no copy)."""
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"flat vector has shape {flat.shape}, expected {self.flat.shape}")
+        net = LstmNetwork.__new__(LstmNetwork)
+        net._bind(flat, [la.dims for la in self.layers], self.output.dims)
+        return net
 
     @property
     def input_dim(self) -> int:
@@ -123,7 +205,7 @@ class LstmNetwork:
         return getattr(self.layers[int(prefix[1:])], attr)
 
     def copy(self) -> "LstmNetwork":
-        return LstmNetwork([la.copy() for la in self.layers], self.output.copy())
+        return self.with_flat(self.flat.copy())
 
     def zero_state(self, batch: int | None = None):
         """Fresh all-zero state; (H,) vectors, or (batch, H) when batched."""
@@ -145,17 +227,23 @@ def step_batch(net, x, hs, cs, masks=None, cache=None):
     its feed-forward (upward) connection only; the recurrent h path stays
     unmasked. Returns (logits (B, K), new_hs, new_cs). When `cache` is a
     list, one dict of intermediates per layer is appended for use by the
-    backward pass.
+    backward pass; its f, i, o and g are column views of one (B, 4H) block.
     """
     inp = x
+    hidden = net.hidden_dim
     new_hs, new_cs = [], []
     for idx, layer in enumerate(net.layers):
         h_prev, c_prev = hs[idx], cs[idx]
-        f = sigmoid(inp @ layer.wxf + h_prev @ layer.whf + layer.bf)
-        i = sigmoid(inp @ layer.wxi + h_prev @ layer.whi + layer.bi)
-        g = tanh_vec(inp @ layer.wxc + h_prev @ layer.whc + layer.bc)
-        c = f * c_prev + i * g
-        o = sigmoid(inp @ layer.wxo + h_prev @ layer.who + layer.bo)
+        # preactivations inp @ wx + h_prev @ wh + b, accumulated in place and
+        # then overwritten by the gate activations: one (B, 4H) buffer
+        a = inp @ layer.wx
+        a += h_prev @ layer.wh
+        a += layer.b
+        s = sigmoid(a[:, : 3 * hidden], out=a[:, : 3 * hidden])
+        f, i, o = s[:, :hidden], s[:, hidden : 2 * hidden], s[:, 2 * hidden :]
+        g = tanh_vec(a[:, 3 * hidden :], out=a[:, 3 * hidden :])
+        c = f * c_prev
+        c += i * g
         tc = tanh_vec(c)
         h = o * tc
         mask = None if masks is None else masks[idx]
@@ -190,7 +278,10 @@ def step(net: LstmNetwork, x: np.ndarray, state: LstmState, dropout_masks=None):
     dropout_masks, if given, is a per-layer list of (H,) multipliers and is
     only meaningful during training.
     """
-    x = np.asarray(x, dtype=np.float64)
+    # contiguous like infer_stream's rows: numpy multiplies a strided row
+    # (e.g. a column of a (D, T) array) by another code path that rounds
+    # differently, which would break bitwise streaming == whole-stream
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise ValueError(f"step: input shape {x.shape}, expected ({net.input_dim},)")
     if not np.all(np.isfinite(x)):
@@ -219,17 +310,29 @@ def predict_label(p: np.ndarray) -> int:
 def infer_stream(net: LstmNetwork, xs, initial: LstmState | None = None) -> np.ndarray:
     """Sample-wise inference over a stream, carrying state across samples.
 
-    xs: (T, D) array or iterable of (D,) vectors. Returns the (T, K) array
-    of per-sample class probabilities. No dropout on this path. Feeding the
-    stream one sample at a time with an externally carried state produces
-    bit-identical output, because this is exactly that loop.
+    xs: (T, D) array or iterable of (D,) vectors, validated once up front
+    (width, finiteness; the first bad row is named). Returns the (T, K)
+    array of per-sample class probabilities. No dropout on this path. Each
+    sample runs the same B=1 kernel `step` runs, so feeding the stream one
+    sample at a time with an externally carried state is bit-identical.
     """
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1, net.input_dim)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    if xs.size == 0:
+        xs = xs.reshape(0, net.input_dim)
+    if xs.ndim != 2 or xs.shape[1] != net.input_dim:
+        raise ValueError(
+            f"infer_stream: stream shape {xs.shape}, expected (T, {net.input_dim})"
+        )
+    bad = ~np.isfinite(xs).all(axis=1)
+    if bad.any():
+        raise ValueError(f"infer_stream: non-finite input sample at row {int(bad.argmax())}")
     state = net.zero_state() if initial is None else initial
+    hs = [h.reshape(1, -1) for h in state.h]
+    cs = [c.reshape(1, -1) for c in state.c]
     probs = np.empty((xs.shape[0], net.num_classes))
     for t in range(xs.shape[0]):
-        logits, state, _ = step(net, xs[t], state)
-        probs[t] = classify(logits)
+        logits, hs, cs = step_batch(net, xs[t : t + 1], hs, cs)
+        probs[t] = classify(logits[0])
     return probs
 
 
@@ -242,28 +345,25 @@ def init_network(
 ) -> LstmNetwork:
     """Random network: weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)).
 
-    fan_in is the row count of each block. Biases start at zero except the
-    forget-gate bias, which starts at 1.0 so early training does not erase
-    the cell state.
+    fan_in is the row count of each per-gate block; blocks are drawn in
+    LAYER_WEIGHTS order, layer by layer, then the head. Biases start at zero
+    except the forget-gate bias, which starts at 1.0 so early training does
+    not erase the cell state.
     """
     if min(input_dim, hidden_dim, num_classes, num_layers) < 1:
         raise ValueError("init_network: all dimensions must be positive")
     rng = rng if rng is not None else Rng(0)
 
-    def draw(rows: int, cols: int) -> np.ndarray:
+    def draw(target: np.ndarray) -> None:
+        rows, cols = target.shape
         bound = 1.0 / np.sqrt(rows)
         u = rng.uniform_block(rows * cols).reshape(rows, cols)
-        return (2.0 * u - 1.0) * bound
+        target[...] = (2.0 * u - 1.0) * bound
 
-    layers = []
-    for idx in range(num_layers):
-        d_in = input_dim if idx == 0 else hidden_dim
-        weights = {}
+    net = LstmNetwork.zeros(input_dim, hidden_dim, num_classes, num_layers)
+    for layer in net.layers:
         for name in LAYER_WEIGHTS:
-            rows = d_in if name.startswith("wx") else hidden_dim
-            weights[name] = draw(rows, hidden_dim)
-        biases = {name: np.zeros(hidden_dim) for name in LAYER_BIASES}
-        biases["bf"] = np.ones(hidden_dim)
-        layers.append(LstmLayerParams(**weights, **biases))
-    output = OutputLayerParams(draw(hidden_dim, num_classes), np.zeros(num_classes))
-    return LstmNetwork(layers, output)
+            draw(getattr(layer, name))
+        layer.bf[...] = 1.0
+    draw(net.output.w)
+    return net

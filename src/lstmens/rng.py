@@ -32,6 +32,9 @@ _U11 = np.uint64(11)
 
 # 2**-53; (u64 >> 11) * 2**-53 is the standard 53-bit uniform in [0, 1)
 _TO_UNIT = 2.0 ** -53
+# uniform_block works in chunks of this many draws, so the temporaries of a
+# frame-sized block (all dropout masks of a frame) stay in cache
+_CHUNK = 1 << 14
 
 
 class Rng:
@@ -52,12 +55,16 @@ class Rng:
         """n outputs as uint64, advancing state exactly as n next_u64 calls."""
         if n == 0:
             return np.empty(0, dtype=np.uint64)
-        steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GAMMA
-        z = np.uint64(self._state) + steps  # wraps mod 2**64
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U_GAMMA
+        z += np.uint64(self._state)  # wraps mod 2**64
         self._state = (self._state + n * _GAMMA) & _MASK64
-        z = (z ^ (z >> _U30)) * _U_MIX1
-        z = (z ^ (z >> _U27)) * _U_MIX2
-        return z ^ (z >> _U31)
+        z ^= z >> _U30
+        z *= _U_MIX1
+        z ^= z >> _U27
+        z *= _U_MIX2
+        z ^= z >> _U31
+        return z
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""
@@ -65,7 +72,12 @@ class Rng:
 
     def uniform_block(self, n: int) -> np.ndarray:
         """n doubles in [0, 1); bit-identical to n uniform() calls."""
-        return (self._u64_block(n) >> _U11).astype(np.float64) * _TO_UNIT
+        out = np.empty(n)
+        for lo in range(0, n, _CHUNK):
+            z = self._u64_block(min(_CHUNK, n - lo))
+            z >>= _U11
+            np.multiply(z, _TO_UNIT, out=out[lo : lo + z.size])
+        return out
 
     def uniform_int(self, low: int, high: int) -> int:
         """Unbiased integer draw from the inclusive range [low, high].

@@ -15,7 +15,7 @@ pass bit for bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,30 @@ class LossKind(enum.Enum):
 
 @dataclass
 class AdamState:
-    """ADAM moments per parameter tensor, allocated lazily from gradients."""
+    """ADAM moments as flat vectors in the LstmNetwork.flat layout, allocated
+    lazily on the first update."""
 
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+
+
+class Gradients(dict):
+    """Per-tensor gradients keyed by parameter name.
+
+    Every value is a view into the one vector `flat`, laid out like the
+    network's own flat vector; `net` is the zero-initialised gradient
+    network those views belong to (fused wx, wh, b per layer).
+    """
+
+    def __init__(self, net: LstmNetwork):
+        self.net = net.with_flat(np.zeros_like(net.flat))
+        self.flat = self.net.flat
+        super().__init__(self.net.param_items())
 
 
 @dataclass
@@ -140,13 +155,6 @@ def _f1_grad(logits: np.ndarray, targets: np.ndarray):
 _LOSS_GRADS = {LossKind.CE: _ce_grad, LossKind.F1: _f1_grad}
 
 
-def batch_loss(logits: np.ndarray, targets: np.ndarray, loss: LossKind) -> float:
-    """Loss of one frame's logits under the given criterion."""
-    if loss is LossKind.CE:
-        return ce_loss(logits, targets)
-    return f1_loss(softmax(logits), targets)
-
-
 # ---------------------------------------------------------------------------
 # frame forward / backward
 
@@ -155,20 +163,20 @@ def draw_dropout_masks(rng: Rng, num_layers: int, length: int, batch: int,
                        hidden: int, dropout_p: float):
     """Fresh inverted-dropout masks, one per (timestep, layer).
 
-    Draw order is timestep-major, layer-minor. Returns None when p == 0 so
-    the masked and unmasked code paths are literally the same.
+    Draw order is timestep-major, layer-minor, each mask row-major; the
+    whole frame is one uniform_block, which SplitMix64 makes bit-identical
+    to drawing the masks one by one in that order. Returns None when p == 0
+    so the masked and unmasked code paths are literally the same.
     """
     if dropout_p == 0.0:
         return None
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p}")
     scale = 1.0 / (1.0 - dropout_p)
-    masks = np.empty((length, num_layers, batch, hidden))
-    for t in range(length):
-        for layer in range(num_layers):
-            u = rng.uniform_block(batch * hidden).reshape(batch, hidden)
-            masks[t, layer] = (u >= dropout_p) * scale
-    return masks
+    masks = rng.uniform_block(length * num_layers * batch * hidden)
+    # in place: a second frame-sized array costs its page faults (~2x here)
+    np.multiply(masks >= dropout_p, scale, out=masks)
+    return masks.reshape(length, num_layers, batch, hidden)
 
 
 def forward_frame(net: LstmNetwork, inputs: np.ndarray, states, masks=None,
@@ -194,67 +202,52 @@ def forward_frame(net: LstmNetwork, inputs: np.ndarray, states, masks=None,
     return logits, list(zip(hs, cs)), caches
 
 
-def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> dict:
+def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> Gradients:
     """Exact gradients of the frame loss w.r.t. every parameter.
 
     Gradients are truncated at the frame boundary: nothing flows into the
-    carried-in state. Accumulation order is fixed (reverse time, top layer
-    down, streams summed inside the matrix products), so results are
-    bitwise reproducible.
+    carried-in state. Each layer-step forms one (B, 4H) preactivation
+    gradient in the fused gate order [f, i, o, g], so its weight gradients
+    are 2 products and its input/recurrent gradients 2 more. Accumulation
+    order is fixed (reverse time, top layer down, streams summed inside the
+    matrix products), so results are bitwise reproducible.
     """
     length, batch, k = dlogits.shape
     hidden = net.hidden_dim
-    grads = {name: np.zeros_like(arr) for name, arr in net.param_items()}
+    grads = Gradients(net)
+    gnet = grads.net
 
     # output head: logits_t = up_top_t @ w + b
     up_top = np.stack([caches[t][-1]["up"] for t in range(length)])
     flat_d = dlogits.reshape(-1, k)
-    grads["out.w"] += up_top.reshape(-1, hidden).T @ flat_d
-    grads["out.b"] += flat_d.sum(axis=0)
+    gnet.output.w += up_top.reshape(-1, hidden).T @ flat_d
+    gnet.output.b += flat_d.sum(axis=0)
     dup_top = (flat_d @ net.output.w.T).reshape(length, batch, hidden)
 
     n_layers = net.num_layers
     dh_rec = [np.zeros((batch, hidden)) for _ in range(n_layers)]
     dc_rec = [np.zeros((batch, hidden)) for _ in range(n_layers)]
+    da = np.empty((batch, 4 * hidden))
+    da_f, da_i = da[:, :hidden], da[:, hidden : 2 * hidden]
+    da_o, da_g = da[:, 2 * hidden : 3 * hidden], da[:, 3 * hidden :]
     for t in reversed(range(length)):
         dup = dup_top[t]
         for idx in reversed(range(n_layers)):
             cc = caches[t][idx]
-            layer = net.layers[idx]
+            layer, glayer = net.layers[idx], gnet.layers[idx]
             mask = cc["mask"]
             dh = (dup if mask is None else dup * mask) + dh_rec[idx]
             f, i, g, o, tc = cc["f"], cc["i"], cc["g"], cc["o"], cc["tc"]
-            da_o = dh * tc * o * (1.0 - o)
+            da_o[...] = dh * tc * o * (1.0 - o)
             dc = dh * o * (1.0 - tc * tc) + dc_rec[idx]
-            da_f = dc * cc["c_prev"] * f * (1.0 - f)
-            da_i = dc * g * i * (1.0 - i)
-            da_g = dc * i * (1.0 - g * g)
-            x_in, h_prev = cc["x_in"], cc["h_prev"]
-            pre = f"l{idx}."
-            grads[pre + "wxf"] += x_in.T @ da_f
-            grads[pre + "whf"] += h_prev.T @ da_f
-            grads[pre + "wxi"] += x_in.T @ da_i
-            grads[pre + "whi"] += h_prev.T @ da_i
-            grads[pre + "wxc"] += x_in.T @ da_g
-            grads[pre + "whc"] += h_prev.T @ da_g
-            grads[pre + "wxo"] += x_in.T @ da_o
-            grads[pre + "who"] += h_prev.T @ da_o
-            grads[pre + "bf"] += da_f.sum(axis=0)
-            grads[pre + "bi"] += da_i.sum(axis=0)
-            grads[pre + "bc"] += da_g.sum(axis=0)
-            grads[pre + "bo"] += da_o.sum(axis=0)
-            dup = (
-                da_f @ layer.wxf.T
-                + da_i @ layer.wxi.T
-                + da_g @ layer.wxc.T
-                + da_o @ layer.wxo.T
-            )
-            dh_rec[idx] = (
-                da_f @ layer.whf.T
-                + da_i @ layer.whi.T
-                + da_g @ layer.whc.T
-                + da_o @ layer.who.T
-            )
+            da_f[...] = dc * cc["c_prev"] * f * (1.0 - f)
+            da_i[...] = dc * g * i * (1.0 - i)
+            da_g[...] = dc * i * (1.0 - g * g)
+            glayer.wx += cc["x_in"].T @ da
+            glayer.wh += cc["h_prev"].T @ da
+            glayer.b += da.sum(axis=0)
+            dup = da @ layer.wx.T
+            dh_rec[idx] = da @ layer.wh.T
             dc_rec[idx] = dc * f
     return grads
 
@@ -293,24 +286,30 @@ def adam_update(net: LstmNetwork, grads: dict, opt: AdamState):
     """One ADAM step, updating net parameters and moments in place.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected
-    moments. Returns (net, opt) for call-chaining.
+    moments, as one vectorized update over the flat parameter vector. grads
+    is a Gradients, or any mapping of parameter name to array. Returns
+    (net, opt) for call-chaining.
     """
+    if isinstance(grads, Gradients):
+        g = grads.flat
+    else:
+        packed = Gradients(net)
+        for name, arr in packed.items():
+            arr[...] = grads[name]
+        g = packed.flat
     opt.step += 1
     b1, b2 = opt.beta1, opt.beta2
     c1 = 1.0 - b1 ** opt.step
     c2 = 1.0 - b2 ** opt.step
-    for name, theta in net.param_items():
-        g = grads[name]
-        if name not in opt.m:
-            opt.m[name] = np.zeros_like(theta)
-            opt.v[name] = np.zeros_like(theta)
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        theta -= opt.learning_rate * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+    if opt.m is None:
+        opt.m = np.zeros_like(net.flat)
+        opt.v = np.zeros_like(net.flat)
+    m, v = opt.m, opt.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    net.flat -= opt.learning_rate * (m / c1) / (np.sqrt(v / c2) + opt.eps)
     return net, opt
 
 
@@ -373,27 +372,25 @@ def _frame_loss_highprec(net: LstmNetwork, frame: FrameBatch, loss: LossKind):
 
 
 def finite_difference_grads(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
-                            delta: float = 1e-5) -> dict:
-    """Central-difference gradients of the frame loss, tensor by tensor.
+                            delta: float = 1e-5) -> Gradients:
+    """Central-difference gradients of the frame loss, entry by entry.
 
-    Perturbed losses come from _frame_loss_highprec, so the quotient noise
-    (~eps_longdouble / 2 delta ~ 5e-15) stays far below the tolerances the
-    check is run at.
+    Each entry of net.flat is perturbed in place, so every per-gate view the
+    oracle reads sees it (perturbing through a copy, such as the ravel of a
+    column view, would leave the network unchanged). Perturbed losses come
+    from _frame_loss_highprec, so the quotient noise (~eps_longdouble /
+    2 delta ~ 5e-15) stays far below the tolerances the check is run at.
     """
-    grads = {}
-    for name, theta in net.param_items():
-        num = np.zeros_like(theta)
-        flat = theta.ravel()
-        num_flat = num.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + delta
-            up = _frame_loss_highprec(net, frame, loss)
-            flat[j] = orig - delta
-            down = _frame_loss_highprec(net, frame, loss)
-            flat[j] = orig
-            num_flat[j] = float((up - down) / (2.0 * delta))
-        grads[name] = num
+    grads = Gradients(net)
+    flat = net.flat
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + delta
+        up = _frame_loss_highprec(net, frame, loss)
+        flat[j] = orig - delta
+        down = _frame_loss_highprec(net, frame, loss)
+        flat[j] = orig
+        grads.flat[j] = float((up - down) / (2.0 * delta))
     return grads
 
 

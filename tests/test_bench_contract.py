@@ -1,0 +1,68 @@
+"""Benchmark contract: the package names perfbench/tracer.py patches exist.
+
+The traced benchmark run (`python3 perfbench/run.py --trace 1`) wraps package
+functions from outside, by (module, attribute), where their callers look them
+up. A renamed or removed name would otherwise surface only in a traced run;
+here it fails in the ordinary suite. perfbench is read, never written.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lstmens import infer_stream, init_network
+from lstmens.rng import Rng
+from lstmens.training import LossKind, bptt_frame, random_check_frame
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    """perfbench/tracer.py, imported as the benchmark imports it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("tracer")
+    for name in ("tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def _resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_traced_name_resolves(tracer_module):
+    targets = tracer_module.SPAN_TARGETS + tracer_module.COUNT_TARGETS
+    missing = []
+    for module_name, attr, layer in targets:
+        try:
+            if not callable(_resolve(module_name, attr)):
+                missing.append(f"{module_name}.{attr} ({layer}) is not callable")
+        except (ImportError, AttributeError) as exc:
+            missing.append(f"{module_name}.{attr} ({layer}): {exc}")
+    assert not missing, missing
+
+
+def test_counted_names_are_the_ones_the_kernel_calls(tracer_module):
+    # one layer-step is one fused sigmoid; one dropout frame is one block draw
+    net = init_network(3, 4, 2, num_layers=2, rng=Rng(0))
+    frame = random_check_frame(net, Rng(1), length=5, batch=2)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        bptt_frame(net, frame, LossKind.CE, dropout_p=0.5, rng=Rng(2))
+        infer_stream(net, np.zeros((6, 3)))
+    finally:
+        tracer.restore()
+    counts = tracer.counts
+    assert counts["network.step_batch"] == 5 + 6
+    assert counts["mathkit.sigmoid"] == net.num_layers * counts["network.step_batch"]
+    assert counts["rng.uniform_block"] == 1

@@ -1,62 +1,12 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from lstmens.mathkit import anchored_mean, log_softmax, matmul, sigmoid, softmax, tanh_vec
+from lstmens.mathkit import anchored_mean, log_softmax, sigmoid, softmax, tanh_vec
 from lstmens.rng import Rng
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-# ---------------------------------------------------------------------------
-# matmul
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(a, np.eye(2)), a)
-
-
-def test_matmul_dot_product():
-    assert matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])) == np.array([[11.0]])
-
-
-def test_matmul_shape_error_names_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-def _loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_against_triple_loop_5x7x3():
-    rng = Rng(17)
-    a = rng.normal_block(35).reshape(5, 7)
-    b = rng.normal_block(21).reshape(7, 3)
-    expected = _loop_matmul(a, b)
-    got = matmul(a, b)
-    assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
-
-
-def test_matmul_against_triple_loop_up_to_64():
-    rng = Rng(99)
-    for m, k, n in [(1, 1, 1), (8, 13, 5), (64, 64, 64)]:
-        a = rng.normal_block(m * k).reshape(m, k)
-        b = rng.normal_block(k * n).reshape(k, n)
-        expected = _loop_matmul(a, b)
-        got = matmul(a, b)
-        scale = np.maximum(np.abs(expected), 1.0)
-        assert (np.abs(got - expected) / scale).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -69,3 +69,28 @@ def test_malformed_values_report_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ModelFormatError, match="line 3"):
         load_model(path)
+
+
+def _with_header_field(path, index, value):
+    lines = path.read_text().splitlines()
+    fields = lines[1].split()
+    fields[index] = value
+    lines[1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_unknown_loss_kind_rejected_on_line_2(tmp_path):
+    path = tmp_path / "net.lstm"
+    save_model(init_network(2, 3, 2, num_layers=1, rng=Rng(4)), path, ModelMeta("CE", 1, 0.5))
+    _with_header_field(path, 4, "MSE")
+    with pytest.raises(ModelFormatError, match="line 2: unknown loss kind 'MSE'"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_val_f1_rejected_on_line_2(tmp_path, value):
+    path = tmp_path / "net.lstm"
+    save_model(init_network(2, 3, 2, num_layers=1, rng=Rng(5)), path, ModelMeta("F1", 1, 0.5))
+    _with_header_field(path, 6, value)
+    with pytest.raises(ModelFormatError, match="line 2: non-finite val_f1"):
+        load_model(path)

@@ -133,6 +133,106 @@ def test_infer_stream_partition_associativity():
     assert np.array_equal(whole, np.concatenate(pieces))
 
 
+def test_infer_stream_names_first_non_finite_row():
+    net = tiny_net()
+    xs = Rng(11).normal_block(3 * 12).reshape(12, 3)
+    xs[7, 1] = np.nan
+    xs[9, 0] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite input sample at row 7\b"):
+        infer_stream(net, xs)
+
+
+def test_infer_stream_rejects_wrong_width():
+    net = tiny_net()
+    with pytest.raises(ValueError, match=r"stream shape \(5, 4\), expected \(T, 3\)"):
+        infer_stream(net, np.zeros((5, 4)))
+    with pytest.raises(ValueError, match="stream shape"):
+        infer_stream(net, np.zeros(6))
+
+
+# ---------------------------------------------------------------------------
+# fused parameter layout
+
+
+def test_per_gate_names_are_views_into_flat():
+    net = tiny_net(seed=6)
+    for name, arr in net.param_items():
+        assert np.shares_memory(arr, net.flat), name
+    layer = net.layers[0]
+    h = layer.hidden_dim
+    # gate column blocks in the order [f, i, o, g]
+    for k, gate in enumerate(("f", "i", "o", "c")):
+        assert np.array_equal(getattr(layer, "wx" + gate), layer.wx[:, k * h:(k + 1) * h])
+        assert np.array_equal(getattr(layer, "wh" + gate), layer.wh[:, k * h:(k + 1) * h])
+        assert np.array_equal(getattr(layer, "b" + gate), layer.b[k * h:(k + 1) * h])
+    sizes = sum(arr.size for _, arr in net.param_items())
+    assert net.flat.size == sizes
+
+
+def test_fused_step_matches_per_gate_formula():
+    rng = Rng(8)
+    net = init_network(3, 4, 2, num_layers=2, rng=rng)
+    for layer in net.layers:
+        layer.b[...] = rng.normal_block(layer.b.size)
+    x = rng.normal_block(3)
+    state = net.zero_state()
+    state.h = [np.tanh(rng.normal_block(4)) for _ in range(2)]
+    state.c = [rng.normal_block(4) for _ in range(2)]
+    logits, new_state, _ = step(net, x, state)
+
+    def sig(a):
+        return 1.0 / (1.0 + np.exp(-a))
+
+    inp = x
+    for idx, la in enumerate(net.layers):
+        h, c = state.h[idx], state.c[idx]
+        f = sig(inp @ la.wxf + h @ la.whf + la.bf)
+        i = sig(inp @ la.wxi + h @ la.whi + la.bi)
+        g = np.tanh(inp @ la.wxc + h @ la.whc + la.bc)
+        o = sig(inp @ la.wxo + h @ la.who + la.bo)
+        c = f * c + i * g
+        inp = o * np.tanh(c)
+        assert np.allclose(new_state.c[idx], c, rtol=0, atol=1e-13)
+        assert np.allclose(new_state.h[idx], inp, rtol=0, atol=1e-13)
+    assert np.allclose(logits, inp @ net.output.w + net.output.b, rtol=0, atol=1e-13)
+
+
+def test_writing_through_gate_view_moves_step_output():
+    net = tiny_net(seed=7)
+    x = np.array([0.3, -0.2, 0.9])
+    before, _, _ = step(net, x, net.zero_state())
+    net.layers[1].bf += 3.0
+    net.layers[0].bo[...] = -2.0
+    after, _, _ = step(net, x, net.zero_state())
+    assert not np.array_equal(before, after)
+    fresh = tiny_net(seed=7)
+    fresh.flat[...] = net.flat
+    again, _, _ = step(fresh, x, fresh.zero_state())
+    assert np.array_equal(after, again)
+
+
+def test_copy_shares_no_memory():
+    net = tiny_net(seed=9)
+    dup = net.copy()
+    assert not np.shares_memory(dup.flat, net.flat)
+    for (name, a), (_, b) in zip(net.param_items(), dup.param_items()):
+        assert not np.shares_memory(a, b), name
+        assert np.array_equal(a, b)
+    dup.layers[0].wxf += 1.0
+    assert not np.array_equal(dup.layers[0].wxf, net.layers[0].wxf)
+
+
+def test_constructor_copies_per_gate_tensors_into_layout():
+    ws = {n: np.full((2 if n.startswith("wx") else 3, 3), float(k))
+          for k, n in enumerate(("wxf", "whf", "wxi", "whi", "wxc", "whc", "wxo", "who"))}
+    bs = {n: np.full(3, 10.0 + k) for k, n in enumerate(("bf", "bi", "bc", "bo"))}
+    layer = LstmLayerParams(**ws, **bs)
+    built = LstmNetwork([layer], OutputLayerParams(np.ones((3, 2)), np.zeros(2)))
+    for name, value in {**ws, **bs}.items():
+        assert np.array_equal(getattr(built.layers[0], name), value), name
+    assert np.shares_memory(built.layers[0].wx, built.flat)
+
+
 # ---------------------------------------------------------------------------
 # init_network
 

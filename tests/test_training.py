@@ -174,6 +174,28 @@ def test_dropout_masks_values_and_mean():
     assert abs(masks.mean() - 1.0) < 0.02
 
 
+def test_dropout_block_draw_matches_per_mask_loop():
+    from lstmens.training import draw_dropout_masks
+
+    def loop_reference(rng, num_layers, length, batch, hidden, p):
+        # one uniform_block per (timestep, layer), timestep-major
+        masks = np.empty((length, num_layers, batch, hidden))
+        for t in range(length):
+            for layer in range(num_layers):
+                u = rng.uniform_block(batch * hidden).reshape(batch, hidden)
+                masks[t, layer] = (u >= p) * (1.0 / (1.0 - p))
+        return masks
+
+    for shape, p in [((2, 7, 3, 5), 0.5), ((3, 1, 1, 4), 0.2), ((1, 16, 9, 8), 0.75)]:
+        block_rng, loop_rng = Rng(41), Rng(41)
+        block = draw_dropout_masks(block_rng, *shape, p)
+        loop = loop_reference(loop_rng, *shape, p)
+        assert block.shape == loop.shape
+        assert block.tobytes() == loop.tobytes()
+        # both leave the generator in the same state
+        assert block_rng.next_u64() == loop_rng.next_u64()
+
+
 def test_dropout_zero_is_bitwise_inference_path():
     from lstmens.network import step
 
@@ -245,3 +267,34 @@ def test_adam_two_runs_identical():
     a, b = run(), run()
     for (na, ta), (nb, tb) in zip(a.param_items(), b.param_items()):
         assert np.array_equal(ta, tb)
+
+
+def test_adam_update_leaves_earlier_snapshot_unchanged():
+    net = tiny_net(seed=14)
+    snapshot = net.copy()
+    before = snapshot.flat.tobytes()
+    frame = random_check_frame(net, Rng(14))
+    grads, _, _ = bptt_frame(net, frame, LossKind.CE)
+    adam_update(net, grads, AdamState())
+    assert snapshot.flat.tobytes() == before
+    assert net.flat.tobytes() != before
+
+
+def test_adam_flat_update_equals_per_tensor_expression():
+    # the one-vector update applies, entry by entry, the per-tensor formula
+    net = tiny_net(seed=15)
+    opt = AdamState(learning_rate=0.01)
+    frames = [random_check_frame(net, Rng(15 + n)) for n in range(3)]
+    ref = {name: arr.copy() for name, arr in net.param_items()}
+    m = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    v = {name: np.zeros_like(arr) for name, arr in ref.items()}
+    for step_no, frame in enumerate(frames, start=1):
+        grads, _, _ = bptt_frame(net, frame, LossKind.CE)
+        adam_update(net, grads, opt)
+        c1, c2 = 1.0 - 0.9 ** step_no, 1.0 - 0.999 ** step_no
+        for name, g in grads.items():
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+            ref[name] = ref[name] - 0.01 * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
+        for name, arr in net.param_items():
+            assert np.array_equal(arr, ref[name]), name
