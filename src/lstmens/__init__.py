@@ -38,7 +38,6 @@ from .ensembles import (
     Ensemble,
     ce_gap,
     ensemble_infer,
-    fuse_scores,
     load_ensemble,
     mixed_ensemble,
     save_ensemble,
@@ -64,7 +63,6 @@ from .network import (
     classify,
     infer_stream,
     init_network,
-    predict_label,
     step,
 )
 from .rng import Rng

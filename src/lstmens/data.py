@@ -199,7 +199,15 @@ def fit_normalizer(train: LabeledSequence) -> NormStats:
 
 
 def apply_normalizer(stats: NormStats, seq: LabeledSequence) -> LabeledSequence:
-    """(x - mean) / std per channel; never recomputes statistics."""
+    """(x - mean) / std per channel; never recomputes statistics.
+
+    The statistics must cover exactly the sequence's channels: a 1-channel
+    file would otherwise broadcast silently across all of them.
+    """
+    if stats.mean.shape != (seq.num_channels,) or stats.std.shape != (seq.num_channels,):
+        raise ValueError(
+            f"normalizer has {stats.mean.shape[0]} channel(s), data has {seq.num_channels}"
+        )
     X = (seq.X - stats.mean[:, None]) / stats.std[:, None]
     return LabeledSequence(X, seq.z.copy(), seq.num_classes, seq.channel_names)
 
@@ -220,10 +228,20 @@ def save_norm_stats(stats: NormStats, path, names: list[str] | None = None) -> N
 
 
 def load_norm_stats(path) -> NormStats:
+    """Read a save_norm_stats file; every mean must be finite and every std
+    finite and positive, or normalized data would turn non-finite."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     mean = np.array([float(r["mean"]) for r in rows])
     std = np.array([float(r["std"]) for r in rows])
+    bad = ~(np.isfinite(mean) & np.isfinite(std) & (std > 0.0))
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(
+            f"{path}: line {row + 2} (channel {rows[row].get('channel')!r}): "
+            f"mean {mean[row]!r}, std {std[row]!r}; need a finite mean and a "
+            f"finite, positive std"
+        )
     return NormStats(mean, std)
 
 

@@ -2,9 +2,12 @@
 
 An ensemble is an ordered set of per-epoch snapshots. Selection keeps the M
 snapshots with the best validation F1; fusion averages the members'
-per-sample class probability vectors with uniform weights. Averaging is done
-in anchored form (see mathkit.anchored_mean) so fusing M identical members
-reproduces the member's probabilities bit for bit.
+per-sample class probability vectors with uniform weights. Inference runs
+the members in lockstep: members of one shape are stacked into one network
+(network.LstmNetwork.stack) and advance together, one kernel call per
+sample. Averaging is done in anchored form (see mathkit.anchored_mean) so
+fusing M identical members reproduces the member's probabilities bit for
+bit.
 
 ce_gap quantifies why fusion helps: for any per-sample target probabilities,
 the members' average cross entropy minus the fused model's cross entropy is
@@ -25,7 +28,7 @@ import numpy as np
 from .bagging import BaseLearner
 from .mathkit import anchored_mean
 from .modelio import load_model
-from .network import infer_stream
+from .network import LstmNetwork, infer_stream
 from .training import LossKind
 
 
@@ -77,28 +80,29 @@ def mixed_ensemble(ce_learners: list[BaseLearner], f1_learners: list[BaseLearner
     return Ensemble(members, provenance=f"top-{m_each} from each of two loss runs")
 
 
-def fuse_scores(member_probs) -> np.ndarray:
-    """Entrywise arithmetic mean of the members' probability vectors.
-
-    Accepts a list of (K,) vectors or an (M, K) array; permutation-invariant
-    in members, idempotent on identical members, and simplex-preserving.
-    """
-    lengths = {int(np.shape(p)[-1]) for p in member_probs}
-    if len(lengths) != 1:
-        raise ValueError(f"member probability lengths differ: {sorted(lengths)}")
-    stacked = np.asarray(member_probs, dtype=np.float64).reshape(-1, lengths.pop())
-    return anchored_mean(stacked, axis=0)
-
-
 def ensemble_infer(ensemble: Ensemble, xs) -> tuple[np.ndarray, np.ndarray]:
     """Sample-wise ensemble prediction over a stream.
 
-    Every member runs its own stateful inference over the full stream; the
-    per-sample probability vectors are fused by arithmetic mean (fixed
-    member order) and labelled by argmax with lowest-index tie-breaking.
+    The members run in lockstep with carried state: members of one shape
+    (a mixed ensemble may hold several) are stacked and streamed by one
+    `infer_stream` call, which advances all of them per sample in one
+    kernel step, each bit-identical to the member run alone. The per-sample
+    probability vectors are fused by arithmetic mean (fixed member order)
+    and labelled by argmax with lowest-index tie-breaking.
     Returns (fused probabilities (T, K), labels (T,)).
     """
-    member_probs = np.stack([infer_stream(m.net, xs) for m in ensemble.members])
+    nets = [m.net for m in ensemble.members]
+    groups: dict[tuple, list[int]] = {}
+    for j, net in enumerate(nets):
+        groups.setdefault(net.shape, []).append(j)
+    parts = [(idx, infer_stream(LstmNetwork.stack([nets[j] for j in idx]), xs))
+             for idx in groups.values()]
+    if len(parts) == 1:
+        member_probs = parts[0][1]
+    else:
+        member_probs = np.empty((len(nets), *parts[0][1].shape[1:]))
+        for idx, probs in parts:
+            member_probs[idx] = probs
     fused = anchored_mean(member_probs, axis=0)
     labels = fused.argmax(axis=1).astype(np.int64)
     return fused, labels

@@ -10,19 +10,29 @@ optimizer is one vectorized update. The per-gate names (wxf, whf, ... bo; c
 names the cell candidate g) are column views of the fused tensors: model
 files, initialisation and the gradient oracle address parameters by them.
 
+`LstmNetwork.stack` puts M same-shape networks into one whose `flat` is an
+(M, P) array: every tensor gains a leading member axis (wx (M, D_in, 4H),
+wh (M, H, 4H), b (M, 1, 4H); head w (M, H, K), b (M, 1, K)), and the shape
+properties read the trailing axes.
+
 Per timestep and layer, with sigmoid s and previous (h, c):
 
     a = x@Wx + h@Wh + b                fused preactivations, (B, 4H)
-    [f, i, o] = s(a[:, :3H])           forget, input, output gates
-    g = tanh(a[:, 3H:])                cell candidate
+    [f, i, o] = s(a[..., :3H])         forget, input, output gates
+    g = tanh(a[..., 3H:])              cell candidate
     c' = f * c + i * g                 new cell state
     h' = o * tanh(c')                  new hidden state
 
 The last layer's hidden state feeds a linear head: logits = h' @ W + b.
 
-Everything here is batch-first internally (B, feature); the public
-sample-wise API wraps the batched kernel with B=1, so streaming one sample
-at a time is bit-identical to whole-sequence inference by construction.
+There is one kernel, `step_batch`. Everything is batch-first (B, feature),
+and a stacked network adds the member axis in front ((M, B, feature)), so
+the same body advances B training streams, one streamed sample (B=1), or
+one sample through all M members of an ensemble in lockstep. numpy's
+stacked matmul makes the same per-member BLAS call as the 2-D product, so
+a stacked member's output is bit-identical to the member run alone, and
+streaming one sample at a time is bit-identical to whole-sequence inference
+by construction.
 """
 
 from __future__ import annotations
@@ -42,8 +52,19 @@ LAYER_BIASES = ("bf", "bi", "bc", "bo")
 GATE_ORDER = ("f", "i", "o", "c")
 
 
+def _view(buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """buf's last axis as (rows, cols); a view, since that axis is unit-stride."""
+    return buf.reshape(*buf.shape[:-1], rows, cols)
+
+
+def _bias_view(buf: np.ndarray) -> np.ndarray:
+    """A bias vector as is, or a stack of them as (M, 1, n) rows."""
+    return buf if buf.ndim == 1 else _view(buf, 1, buf.shape[-1])
+
+
 class _ParamBlock:
-    """Tensors that are views into one 1-d buffer `buf`, set up by _bind."""
+    """Tensors that are views into one buffer `buf`, set up by _bind: 1-d,
+    or (M, size) for stacked members, whose views gain a leading M axis."""
 
     @classmethod
     def view(cls, buf: np.ndarray, *dims: int):
@@ -80,14 +101,14 @@ class LstmLayerParams(_ParamBlock):
     def _bind(self, buf: np.ndarray, d_in: int, hidden: int) -> None:
         width = 4 * hidden
         self.buf = buf
-        self.wx = buf[: d_in * width].reshape(d_in, width)
-        self.wh = buf[d_in * width : (d_in + hidden) * width].reshape(hidden, width)
-        self.b = buf[(d_in + hidden) * width :]
+        self.wx = _view(buf[..., : d_in * width], d_in, width)
+        self.wh = _view(buf[..., d_in * width : (d_in + hidden) * width], hidden, width)
+        self.b = _bias_view(buf[..., (d_in + hidden) * width :])
         for k, gate in enumerate(GATE_ORDER):
             cols = slice(k * hidden, (k + 1) * hidden)
-            setattr(self, "wx" + gate, self.wx[:, cols])
-            setattr(self, "wh" + gate, self.wh[:, cols])
-            setattr(self, "b" + gate, self.b[cols])
+            setattr(self, "wx" + gate, self.wx[..., cols])
+            setattr(self, "wh" + gate, self.wh[..., cols])
+            setattr(self, "b" + gate, self.b[..., cols])
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -95,11 +116,11 @@ class LstmLayerParams(_ParamBlock):
 
     @property
     def input_dim(self) -> int:
-        return self.wx.shape[0]
+        return self.wx.shape[-2]
 
     @property
     def hidden_dim(self) -> int:
-        return self.wh.shape[0]
+        return self.wh.shape[-2]
 
     def tensors(self):
         for name in LAYER_WEIGHTS + LAYER_BIASES:
@@ -121,12 +142,12 @@ class OutputLayerParams(_ParamBlock):
 
     def _bind(self, buf: np.ndarray, hidden: int, k: int) -> None:
         self.buf = buf
-        self.w = buf[: hidden * k].reshape(hidden, k)
-        self.b = buf[hidden * k :]
+        self.w = _view(buf[..., : hidden * k], hidden, k)
+        self.b = _bias_view(buf[..., hidden * k :])
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.w.shape
+        return self.w.shape[-2:]
 
 
 @dataclass
@@ -155,9 +176,24 @@ class LstmNetwork:
         self.flat, self.layers, offset = flat, [], 0
         for dims in layer_dims:
             size = LstmLayerParams.size(*dims)
-            self.layers.append(LstmLayerParams.view(flat[offset : offset + size], *dims))
+            self.layers.append(LstmLayerParams.view(flat[..., offset : offset + size], *dims))
             offset += size
-        self.output = OutputLayerParams.view(flat[offset:], *head_dims)
+        self.output = OutputLayerParams.view(flat[..., offset:], *head_dims)
+
+    @classmethod
+    def stack(cls, nets) -> "LstmNetwork":
+        """M same-shape networks as one, for lockstep inference.
+
+        Its `flat` is a fresh (M, P) array whose row m is a copy of
+        nets[m].flat; every tensor view gains a leading member axis.
+        """
+        nets = list(nets)
+        shapes = {net.shape for net in nets}
+        if len(shapes) != 1:
+            raise ValueError(f"stack needs networks of one shape, got {sorted(shapes)}")
+        net = cls.__new__(cls)
+        net._bind(np.stack([n.flat for n in nets]), *shapes.pop())
+        return net
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int, num_classes: int,
@@ -171,8 +207,13 @@ class LstmNetwork:
         if flat.shape != self.flat.shape:
             raise ValueError(f"flat vector has shape {flat.shape}, expected {self.flat.shape}")
         net = LstmNetwork.__new__(LstmNetwork)
-        net._bind(flat, [la.dims for la in self.layers], self.output.dims)
+        net._bind(flat, *self.shape)
         return net
+
+    @property
+    def shape(self) -> tuple:
+        """((D_in, H) per layer, (H, K) of the head): what must match to stack."""
+        return tuple(la.dims for la in self.layers), self.output.dims
 
     @property
     def input_dim(self) -> int:
@@ -188,7 +229,7 @@ class LstmNetwork:
 
     @property
     def num_classes(self) -> int:
-        return self.output.b.shape[0]
+        return self.output.b.shape[-1]
 
     def param_items(self):
         """All parameter tensors as (name, array) in a fixed global order."""
@@ -228,6 +269,8 @@ def step_batch(net, x, hs, cs, masks=None, cache=None):
     unmasked. Returns (logits (B, K), new_hs, new_cs). When `cache` is a
     list, one dict of intermediates per layer is appended for use by the
     backward pass; its f, i, o and g are column views of one (B, 4H) block.
+    For a stacked network (LstmNetwork.stack) hs, cs and the results carry
+    the member axis in front, (M, B, ...); x may be shared, (B, D).
     """
     inp = x
     hidden = net.hidden_dim
@@ -239,9 +282,9 @@ def step_batch(net, x, hs, cs, masks=None, cache=None):
         a = inp @ layer.wx
         a += h_prev @ layer.wh
         a += layer.b
-        s = sigmoid(a[:, : 3 * hidden], out=a[:, : 3 * hidden])
-        f, i, o = s[:, :hidden], s[:, hidden : 2 * hidden], s[:, 2 * hidden :]
-        g = tanh_vec(a[:, 3 * hidden :], out=a[:, 3 * hidden :])
+        s = sigmoid(a[..., : 3 * hidden], out=a[..., : 3 * hidden])
+        f, i, o = s[..., :hidden], s[..., hidden : 2 * hidden], s[..., 2 * hidden :]
+        g = tanh_vec(a[..., 3 * hidden :], out=a[..., 3 * hidden :])
         c = f * c_prev
         c += i * g
         tc = tanh_vec(c)
@@ -298,23 +341,20 @@ def step(net: LstmNetwork, x: np.ndarray, state: LstmState, dropout_masks=None):
 
 
 def classify(logits: np.ndarray) -> np.ndarray:
-    """Class probability vector for one sample's logits."""
+    """Class probability vector for one sample's logits (per row for (M, K))."""
     return softmax(np.asarray(logits, dtype=np.float64))
 
 
-def predict_label(p: np.ndarray) -> int:
-    """Most probable class; ties resolve to the lowest index."""
-    return int(np.argmax(p))
-
-
-def infer_stream(net: LstmNetwork, xs, initial: LstmState | None = None) -> np.ndarray:
+def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
     """Sample-wise inference over a stream, carrying state across samples.
 
     xs: (T, D) array or iterable of (D,) vectors, validated once up front
     (width, finiteness; the first bad row is named). Returns the (T, K)
-    array of per-sample class probabilities. No dropout on this path. Each
-    sample runs the same B=1 kernel `step` runs, so feeding the stream one
-    sample at a time with an externally carried state is bit-identical.
+    array of per-sample class probabilities, or (M, T, K) for a stacked
+    network, whose members advance in lockstep: one `step_batch` call per
+    sample. No dropout on this path. Each sample runs the same B=1 kernel
+    `step` runs, so feeding the stream one sample at a time with an
+    externally carried state is bit-identical.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.size == 0:
@@ -326,13 +366,13 @@ def infer_stream(net: LstmNetwork, xs, initial: LstmState | None = None) -> np.n
     bad = ~np.isfinite(xs).all(axis=1)
     if bad.any():
         raise ValueError(f"infer_stream: non-finite input sample at row {int(bad.argmax())}")
-    state = net.zero_state() if initial is None else initial
-    hs = [h.reshape(1, -1) for h in state.h]
-    cs = [c.reshape(1, -1) for c in state.c]
-    probs = np.empty((xs.shape[0], net.num_classes))
+    members = net.flat.shape[:-1]  # () for a plain network, (M,) for a stack
+    hs = [np.zeros((*members, 1, net.hidden_dim)) for _ in net.layers]
+    cs = [np.zeros((*members, 1, net.hidden_dim)) for _ in net.layers]
+    probs = np.empty((*members, xs.shape[0], net.num_classes))
     for t in range(xs.shape[0]):
         logits, hs, cs = step_batch(net, xs[t : t + 1], hs, cs)
-        probs[t] = classify(logits[0])
+        probs[..., t, :] = classify(logits[..., 0, :])
     return probs
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lstmens import infer_stream, init_network
+from lstmens import BaseLearner, Ensemble, ensembles, infer_stream, init_network
 from lstmens.rng import Rng
 from lstmens.training import LossKind, bptt_frame, random_check_frame
 
@@ -66,3 +66,24 @@ def test_counted_names_are_the_ones_the_kernel_calls(tracer_module):
     assert counts["network.step_batch"] == 5 + 6
     assert counts["mathkit.sigmoid"] == net.num_layers * counts["network.step_batch"]
     assert counts["rng.uniform_block"] == 1
+
+
+def test_ensemble_infer_is_one_kernel_step_per_sample(tracer_module):
+    # M same-shape members advance in lockstep: T samples are T step_batch
+    # calls, not M*T, and the stacked stream still passes through the
+    # `network.infer_stream` span
+    rng = Rng(3)
+    members = [BaseLearner(init_network(3, 4, 2, num_layers=2, rng=rng), j, LossKind.CE, 0.5)
+               for j in range(5)]
+    xs = rng.normal_block(3 * 7).reshape(7, 3)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        ensembles.ensemble_infer(Ensemble(members), xs)  # the name the tracer patches
+    finally:
+        tracer.restore()
+    assert tracer.counts["network.step_batch"] == 7
+    assert tracer.counts["mathkit.sigmoid"] == 2 * 7
+    names = [span[0] for span in tracer.spans]
+    assert names.count("ensembles.ensemble_infer") == 1
+    assert names.count("network.infer_stream") == 1

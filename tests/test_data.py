@@ -5,6 +5,7 @@ from lstmens.data import (
     BLEND_MAX,
     CsvSchema,
     LabeledSequence,
+    NormStats,
     apply_normalizer,
     class_distribution,
     classwise_split,
@@ -141,6 +142,22 @@ def test_norm_stats_file_round_trip(tmp_path):
     back = load_norm_stats(tmp_path / "stats.csv")
     assert np.array_equal(back.mean, stats.mean)
     assert np.array_equal(back.std, stats.std)
+
+
+@pytest.mark.parametrize("channels", [1, 2, 5])
+def test_normalizer_rejects_wrong_channel_count(channels):
+    seq = synth_har(3, 2, 200, seed=7)
+    stats = NormStats(np.zeros(channels), np.ones(channels))
+    with pytest.raises(ValueError, match=rf"normalizer has {channels} channel\(s\), data has 3"):
+        apply_normalizer(stats, seq)
+
+
+@pytest.mark.parametrize("bad", ["0.2,0.0", "0.2,-1.5", "0.2,nan", "0.2,inf", "nan,1.0"])
+def test_load_norm_stats_rejects_bad_row_and_names_it(tmp_path, bad):
+    path = tmp_path / "stats.csv"
+    path.write_text(f"channel,mean,std\nax,0.1,1.0\nay,{bad}\naz,0.3,0.0\n")
+    with pytest.raises(ValueError, match=r"line 3 \(channel 'ay'\): mean .*, std .*; need"):
+        load_norm_stats(path)
 
 
 # ---------------------------------------------------------------------------

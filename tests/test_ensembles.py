@@ -9,7 +9,6 @@ from lstmens import (
     LossKind,
     ce_gap,
     ensemble_infer,
-    fuse_scores,
     infer_stream,
     init_network,
     load_ensemble,
@@ -18,7 +17,9 @@ from lstmens import (
     select_top_m,
 )
 from lstmens.bagging import save_learners, load_learners
-from lstmens.mathkit import softmax
+from lstmens.ensembles import Ensemble
+from lstmens.mathkit import anchored_mean
+from lstmens.network import classify, step
 from lstmens.rng import Rng
 
 
@@ -77,32 +78,37 @@ def test_mixed_ensemble_sizes():
 # fusion
 
 
-def test_fuse_identical_vectors_is_identity():
-    v = np.array([0.2, 0.5, 0.3])
-    assert np.array_equal(fuse_scores([v, v, v]), v)
+def test_ensemble_rejects_members_with_different_classes():
+    a = init_network(3, 4, 2, num_layers=1, rng=Rng(1))
+    b = init_network(3, 4, 3, num_layers=1, rng=Rng(2))
+    with pytest.raises(ValueError, match="disagree on"):
+        Ensemble([BaseLearner(a, 1, LossKind.CE, 0.5), BaseLearner(b, 2, LossKind.CE, 0.5)])
 
 
-def test_fuse_two_corners():
-    assert np.array_equal(fuse_scores([np.array([1.0, 0.0]), np.array([0.0, 1.0])]),
-                          np.array([0.5, 0.5]))
-
-
-def test_fuse_rejects_mismatched_lengths():
-    with pytest.raises(ValueError, match="lengths differ"):
-        fuse_scores([np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4])])
-
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=6),
-       st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=60)
-def test_fuse_simplex_and_permutation_invariance(m, k, seed):
+@given(st.lists(st.sampled_from([3, 4]), min_size=1, max_size=6),
+       st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=40, deadline=None)
+def test_ensemble_infer_simplex_and_permutation_invariance(hiddens, k, seed):
     rng = Rng(seed)
-    probs = softmax(rng.normal_block(m * k).reshape(m, k) * 3.0)
-    fused = fuse_scores(probs)
-    assert abs(fused.sum() - 1.0) < 1e-12
+    members = [BaseLearner(init_network(2, h, k, num_layers=1, rng=rng), j, LossKind.CE, 0.5)
+               for j, h in enumerate(hiddens)]
+    xs = rng.normal_block(2 * 8).reshape(8, 2) * 3.0
+    fused, labels = ensemble_infer(Ensemble(members), xs)
+    assert np.all(np.abs(fused.sum(axis=1) - 1.0) < 1e-12)
     assert np.all(fused > 0.0)
-    perm = probs[::-1]
-    assert np.allclose(fuse_scores(perm), fused, atol=1e-15)
+    assert np.array_equal(labels, fused.argmax(axis=1))
+    reversed_fused, _ = ensemble_infer(Ensemble(members[::-1]), xs)
+    assert np.allclose(reversed_fused, fused, atol=1e-15)
+
+
+def test_ensemble_labels_tie_to_lowest_index():
+    net = init_network(2, 3, 4, num_layers=1, rng=Rng(0))
+    net.flat[...] = 0.0
+    net.output.b[...] = [0.0, 1.0, 1.0, 0.5]  # classes 1 and 2 tie exactly
+    xs = Rng(1).normal_block(2 * 5).reshape(5, 2)
+    fused, labels = ensemble_infer(Ensemble([BaseLearner(net, 1, LossKind.CE, 0.5)] * 2), xs)
+    assert np.all(fused[:, 1] == fused[:, 2])
+    assert labels.tolist() == [1] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +129,48 @@ def test_ensemble_m1_equals_member_bitwise():
 def test_ensemble_identical_members_equal_single():
     base = make_learners([(1, 0.5)])[0]
     triple = [base, base, base]
-    from lstmens.ensembles import Ensemble
 
     rng = Rng(4)
     xs = rng.normal_block(3 * 15).reshape(15, 3)
     fused_triple, _ = ensemble_infer(Ensemble(triple), xs)
     fused_single, _ = ensemble_infer(Ensemble([base]), xs)
     assert np.array_equal(fused_triple, fused_single)
+
+
+def test_ensemble_infer_equals_per_member_step_streaming_bitwise():
+    # the benchmark's streamed == offline check: each member advanced by
+    # `step` on its own carried state, fused sample by sample
+    rng = Rng(6)
+    nets = [init_network(3, 5, 4, num_layers=2, rng=rng) for _ in range(3)]
+    xs = rng.normal_block(3 * 40).reshape(40, 3)
+    fused, labels = ensemble_infer(
+        Ensemble([BaseLearner(net, j, LossKind.CE, 0.5) for j, net in enumerate(nets)]), xs)
+    states = [net.zero_state() for net in nets]
+    for t in range(40):
+        member = np.empty((3, 4))
+        for j, net in enumerate(nets):
+            logits, states[j], _ = step(net, xs[t], states[j])
+            member[j] = classify(logits)
+        streamed = anchored_mean(member, axis=0)
+        assert streamed.tobytes() == fused[t].tobytes()
+        assert labels[t] == streamed.argmax()
+
+
+def test_heterogeneous_ensemble_fuses_in_member_order_bitwise():
+    # shapes interleave, so the stacked groups run in another order than the
+    # members and must be put back before the mean; the weights are scaled
+    # up so the members disagree widely and the mean's rounding depends on
+    # the order of its terms
+    rng = Rng(7)
+    nets = [init_network(4, 8, 3, num_layers=2, rng=rng) if j % 2 == 0
+            else init_network(4, 5, 3, num_layers=1, rng=rng) for j in range(5)]
+    for net in nets:
+        net.flat *= 4.0
+    xs = rng.normal_block(4 * 50).reshape(50, 4)
+    fused, _ = ensemble_infer(
+        Ensemble([BaseLearner(net, j, LossKind.CE, 0.5) for j, net in enumerate(nets)]), xs)
+    expected = anchored_mean(np.stack([infer_stream(net, xs) for net in nets]), axis=0)
+    assert fused.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

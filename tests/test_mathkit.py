@@ -110,6 +110,11 @@ def test_anchored_mean_identical_rows_exact():
     assert np.array_equal(anchored_mean(stacked, axis=0), row)
 
 
+def test_anchored_mean_two_corners():
+    corners = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(anchored_mean(corners, axis=0), np.array([0.5, 0.5]))
+
+
 def test_anchored_mean_matches_plain_mean():
     rng = Rng(4)
     x = rng.normal_block(60).reshape(5, 12)

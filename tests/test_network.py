@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lstmens import classify, infer_stream, init_network, predict_label, step
+from lstmens import classify, infer_stream, init_network, step
 from lstmens.network import LstmNetwork, LstmLayerParams, OutputLayerParams
 from lstmens.rng import Rng
 
@@ -77,7 +77,7 @@ def test_step_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# classify / predict_label
+# classify
 
 
 def test_classify_pairs():
@@ -89,12 +89,6 @@ def test_classify_pairs():
 def test_classify_shift_invariance():
     x = np.array([0.1, -2.0, 3.3])
     assert np.max(np.abs(classify(x + 7.0) - classify(x))) < 1e-12
-
-
-def test_predict_label_ties_to_lowest_index():
-    assert predict_label(np.array([0.1, 0.7, 0.2])) == 1
-    assert predict_label(np.array([0.5, 0.5])) == 0
-    assert predict_label(np.full(18, 1.0 / 18.0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +225,51 @@ def test_constructor_copies_per_gate_tensors_into_layout():
     for name, value in {**ws, **bs}.items():
         assert np.array_equal(getattr(built.layers[0], name), value), name
     assert np.shares_memory(built.layers[0].wx, built.flat)
+
+
+# ---------------------------------------------------------------------------
+# stacked members
+
+
+def test_stack_rows_are_member_flats_with_member_axis_views():
+    nets = [tiny_net(seed=s) for s in (1, 2, 3)]
+    stacked = LstmNetwork.stack(nets)
+    assert stacked.flat.shape == (3, nets[0].flat.size)
+    for m, net in enumerate(nets):
+        assert np.array_equal(stacked.flat[m], net.flat)
+        assert not np.shares_memory(stacked.flat, net.flat)
+        for (name, a), (_, b) in zip(net.param_items(), stacked.param_items()):
+            assert np.array_equal(b[m].reshape(a.shape), a), name
+    layer, head = stacked.layers[1], stacked.output
+    assert layer.wx.shape == (3, 4, 16) and layer.wh.shape == (3, 4, 16)
+    assert layer.b.shape == (3, 1, 16) and layer.bf.shape == (3, 1, 4)
+    assert head.w.shape == (3, 4, 3) and head.b.shape == (3, 1, 3)
+    for _, arr in stacked.param_items():
+        assert np.shares_memory(arr, stacked.flat)
+    assert stacked.shape == nets[0].shape
+    assert (stacked.input_dim, stacked.hidden_dim, stacked.num_classes) == (3, 4, 3)
+
+
+def test_stack_rejects_mixed_shapes():
+    with pytest.raises(ValueError, match="one shape"):
+        LstmNetwork.stack([tiny_net(h=4), tiny_net(h=5)])
+    with pytest.raises(ValueError, match="one shape"):
+        LstmNetwork.stack([tiny_net(layers=2), tiny_net(layers=1)])
+    with pytest.raises(ValueError, match="one shape"):
+        LstmNetwork.stack([tiny_net(k=3), tiny_net(k=2)])
+    with pytest.raises(ValueError, match="one shape"):
+        LstmNetwork.stack([])
+
+
+def test_stacked_infer_stream_equals_each_member_bitwise():
+    rng = Rng(12)
+    nets = [init_network(4, 6, 3, num_layers=2, rng=rng) for _ in range(4)]
+    xs = rng.normal_block(4 * 30).reshape(30, 4)
+    probs = infer_stream(LstmNetwork.stack(nets), xs)
+    assert probs.shape == (4, 30, 3)
+    for m, net in enumerate(nets):
+        assert probs[m].tobytes() == infer_stream(net, xs).tobytes()
+    assert infer_stream(LstmNetwork.stack(nets), np.empty((0, 4))).shape == (4, 0, 3)
 
 
 # ---------------------------------------------------------------------------
