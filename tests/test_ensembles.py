@@ -78,6 +78,18 @@ def test_mixed_ensemble_sizes():
 # fusion
 
 
+def test_fuse_identical_vectors_is_identity():
+    v = np.array([0.2, 0.5, 0.3])
+    net = init_network(2, 3, 3, num_layers=1, rng=Rng(0))
+    net.flat[...] = 0.0
+    net.output.b[...] = np.log(v)  # every sample scores softmax(log v)
+    xs = Rng(1).normal_block(2 * 4).reshape(4, 2)
+    member = infer_stream(net, xs)
+    assert np.allclose(member, v, atol=1e-15)
+    fused, _ = ensemble_infer(Ensemble([BaseLearner(net, 1, LossKind.CE, 0.5)] * 3), xs)
+    assert np.array_equal(fused, member)
+
+
 def test_ensemble_rejects_members_with_different_classes():
     a = init_network(3, 4, 2, num_layers=1, rng=Rng(1))
     b = init_network(3, 4, 3, num_layers=1, rng=Rng(2))
