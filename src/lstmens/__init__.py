@@ -24,11 +24,8 @@ from .data import (
     LabeledSequence,
     NormStats,
     apply_normalizer,
-    class_distribution,
-    classwise_split,
     fit_normalizer,
     holdout_split,
-    invert_normalizer,
     load_csv,
     save_csv,
     synth_har,
@@ -49,17 +46,14 @@ from .evaluation import (
     confusion,
     mean_f1,
     per_class_f1,
-    run_trials,
     significance_stars,
     t_test,
 )
 from .mathkit import log_softmax, sigmoid, softmax, tanh_vec
 from .modelio import ModelFormatError, ModelMeta, load_model, save_model
 from .network import (
-    LstmLayerParams,
     LstmNetwork,
     LstmState,
-    OutputLayerParams,
     classify,
     infer_stream,
     init_network,
@@ -73,8 +67,6 @@ from .training import (
     LossKind,
     adam_update,
     bptt_frame,
-    ce_loss,
-    f1_loss,
     finite_difference_grads,
     grad_check,
     random_check_frame,

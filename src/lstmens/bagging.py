@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import LabeledSequence
 from .evaluation import confusion, mean_f1
-from .modelio import ModelMeta, load_model, save_model
+from .modelio import LOSS_KINDS, ModelMeta, load_model, save_model
 from .network import LstmNetwork, infer_stream, init_network
 from .rng import Rng
 from .training import AdamState, FrameBatch, LossKind, adam_update, bptt_frame
@@ -142,12 +142,12 @@ def train_epoch(net: LstmNetwork, data: LabeledSequence, schedule: FrameSchedule
             f"data has {data.num_channels} channels, network expects {net.input_dim}"
         )
     positions = schedule.starts.copy()
-    states = net.zero_state(schedule.batch_size)
+    state = net.zero_state(schedule.batch_size)
     losses = []
     for length in schedule.frame_lengths:
         inputs, targets = _gather_frame(data, positions, length)
-        frame = FrameBatch(inputs, targets, states)
-        grads, states, loss_value = bptt_frame(net, frame, cfg.loss, cfg.dropout_p, rng)
+        frame = FrameBatch(inputs, targets, state)
+        grads, state, loss_value = bptt_frame(net, frame, cfg.loss, cfg.dropout_p, rng)
         adam_update(net, grads, opt)
         losses.append(loss_value)
         positions = positions + length
@@ -189,9 +189,22 @@ def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
 
 # ---------------------------------------------------------------------------
 # snapshot persistence
+#
+# A manifest is a CSV of learners, one row per model file, read by column
+# name. Learner manifests (save_learners) and ensemble manifests
+# (ensembles.save_ensemble) share the layout; an ensemble manifest starts
+# with a `# provenance=...` comment line, which load_learners skips.
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_FIELDS = ["epoch", "loss", "val_f1", "path"]
+
+
+def write_manifest(fh, learners: list[BaseLearner], paths: list[str]) -> None:
+    """The header and one row per learner, paths[j] being learner j's model file."""
+    writer = csv.writer(fh)
+    writer.writerow(MANIFEST_FIELDS)
+    for learner, path in zip(learners, paths):
+        writer.writerow([learner.epoch, learner.loss.value, repr(learner.val_f1), path])
 
 
 def save_learners(learners: list[BaseLearner], outdir) -> str:
@@ -201,31 +214,75 @@ def save_learners(learners: list[BaseLearner], outdir) -> str:
     a run directory can be moved (and byte-compared) as a unit.
     """
     os.makedirs(outdir, exist_ok=True)
+    names = []
+    for learner in learners:
+        names.append(f"learner_e{learner.epoch}_{learner.loss.value}.lstm")
+        save_model(learner.net, os.path.join(outdir, names[-1]),
+                   ModelMeta(learner.loss.value, learner.epoch, learner.val_f1))
     manifest_path = os.path.join(outdir, MANIFEST_NAME)
     with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_FIELDS)
-        for learner in learners:
-            name = f"learner_e{learner.epoch}_{learner.loss.value}.lstm"
-            save_model(
-                learner.net,
-                os.path.join(outdir, name),
-                ModelMeta(learner.loss.value, learner.epoch, learner.val_f1),
-            )
-            writer.writerow([learner.epoch, learner.loss.value, repr(learner.val_f1), name])
+        write_manifest(fh, learners, names)
     return manifest_path
 
 
+def _parse_row(row: dict) -> tuple[int, LossKind, float]:
+    """(epoch, loss, val_f1) of one manifest row; a ValueError says what is wrong."""
+    try:
+        epoch = int(row["epoch"])
+    except ValueError:
+        raise ValueError(f"epoch {row['epoch']!r} is not an integer") from None
+    if row["loss"] not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {row['loss']!r}, expected one of {', '.join(LOSS_KINDS)}")
+    try:
+        val_f1 = float(row["val_f1"])
+    except ValueError:
+        val_f1 = None
+    if val_f1 is None or not np.isfinite(val_f1):
+        raise ValueError(f"val_f1 {row['val_f1']!r} is not a finite number")
+    return epoch, LossKind(row["loss"]), val_f1
+
+
 def load_learners(manifest_path) -> list[BaseLearner]:
-    """Read a manifest CSV and its model files back into BaseLearners."""
+    """Read a learner or ensemble manifest and its model files into BaseLearners.
+
+    Columns are found by header name, so any column order loads. Each row
+    must be complete and well-formed and must agree with its model file's
+    header on (epoch, loss, val_f1); an empty manifest is an error. Every
+    failure is a ValueError naming the manifest and the line.
+    """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    learners = []
     with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            path = os.path.join(base, row["path"])
-            net, meta = load_model(path)
-            learners.append(
-                BaseLearner(net, int(row["epoch"]), LossKind(row["loss"]),
-                            float(row["val_f1"]), source_path=path)
+        lines = fh.read().splitlines()
+    numbered = [(n, line) for n, line in enumerate(lines, start=1)
+                if line.strip() and not line.startswith("#")]
+    if not numbered:
+        raise ValueError(f"{manifest_path} line {len(lines) + 1}: empty manifest, expected "
+                         f"the header {','.join(MANIFEST_FIELDS)}")
+    records = zip((n for n, _ in numbered), csv.reader(line for _, line in numbered))
+    header_no, header = next(records)
+    missing = [name for name in MANIFEST_FIELDS if name not in header]
+    if missing:
+        raise ValueError(f"{manifest_path} line {header_no}: header lacks column(s) "
+                         f"{', '.join(missing)}")
+    learners = []
+    for lineno, cells in records:
+        where = f"{manifest_path} line {lineno}"
+        if len(cells) != len(header):
+            raise ValueError(f"{where}: {len(cells)} column(s), the header has {len(header)}")
+        row = dict(zip(header, cells))
+        try:
+            epoch, loss, val_f1 = _parse_row(row)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        path = os.path.join(base, row["path"])
+        net, meta = load_model(path)
+        if (meta.epoch, meta.loss, meta.val_f1) != (epoch, loss.value, val_f1):
+            raise ValueError(
+                f"{where}: row has epoch={epoch}, loss={loss.value}, val_f1={val_f1!r} but "
+                f"model file {row['path']} has epoch={meta.epoch}, loss={meta.loss}, "
+                f"val_f1={meta.val_f1!r}"
             )
+        learners.append(BaseLearner(net, epoch, loss, val_f1, source_path=path))
+    if not learners:
+        raise ValueError(f"{manifest_path} line {header_no}: no learners after the header")
     return learners

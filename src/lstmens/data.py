@@ -212,12 +212,6 @@ def apply_normalizer(stats: NormStats, seq: LabeledSequence) -> LabeledSequence:
     return LabeledSequence(X, seq.z.copy(), seq.num_classes, seq.channel_names)
 
 
-def invert_normalizer(stats: NormStats, seq: LabeledSequence) -> LabeledSequence:
-    """Inverse transform of apply_normalizer."""
-    X = seq.X * stats.std[:, None] + stats.mean[:, None]
-    return LabeledSequence(X, seq.z.copy(), seq.num_classes, seq.channel_names)
-
-
 def save_norm_stats(stats: NormStats, path, names: list[str] | None = None) -> None:
     names = names or [f"ch{i}" for i in range(stats.mean.shape[0])]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -271,39 +265,6 @@ def fraction_ranges(num_samples: int, fractions=(0.8, 0.1, 0.1)):
     b = a + int(num_samples * fractions[1])
     c = min(num_samples, b + int(round(num_samples * fractions[2])))
     return (0, a), (a, b), (b, c)
-
-
-def classwise_split(seq: LabeledSequence, train_frac: float = 0.8, val_frac: float = 0.1):
-    """Per-class temporal split: first train_frac of each class's samples go
-    to train, the next val_frac to validation, the remainder to test.
-
-    Selected indices keep their original temporal order, so per-class
-    ordering is preserved in every split.
-    """
-    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
-        raise ValueError(f"bad class-wise fractions {train_frac}, {val_frac}")
-    parts: list[list[int]] = [[], [], []]
-    for k in range(seq.num_classes):
-        idx = np.flatnonzero(seq.z == k)
-        a = int(len(idx) * train_frac)
-        b = a + int(len(idx) * val_frac)
-        parts[0].extend(idx[:a])
-        parts[1].extend(idx[a:b])
-        parts[2].extend(idx[b:])
-    out = []
-    for chosen in parts:
-        order = np.sort(np.asarray(chosen, dtype=np.int64))
-        out.append(
-            LabeledSequence(seq.X[:, order], seq.z[order], seq.num_classes,
-                            seq.channel_names)
-        )
-    return tuple(out)
-
-
-def class_distribution(seq: LabeledSequence):
-    """(counts, fractions) per class; counts sum to the number of samples."""
-    counts = np.bincount(seq.z, minlength=seq.num_classes)
-    return counts, counts / seq.num_samples
 
 
 # ---------------------------------------------------------------------------

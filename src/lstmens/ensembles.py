@@ -18,18 +18,16 @@ on every sample.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .bagging import BaseLearner
+from .bagging import BaseLearner, load_learners, write_manifest
 from .mathkit import anchored_mean
-from .modelio import load_model
+from .modelio import load_model  # noqa: F401 -- perfbench/tracer.py patches this name
 from .network import LstmNetwork, infer_stream
-from .training import LossKind
 
 
 @dataclass
@@ -137,49 +135,31 @@ def ce_gap(target_probs) -> CeGap:
 # ---------------------------------------------------------------------------
 # manifest persistence
 
-ENSEMBLE_FIELDS = ["path", "epoch", "loss", "val_f1"]
+PROVENANCE_TAG = "# provenance="
 
 
 def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
     """Write an ensemble manifest referencing the members' model files.
 
-    Every member must know its on-disk model file (source_path); paths are
-    stored relative to the manifest so the directory can move as a unit.
+    The layout is the learner manifest's (bagging.MANIFEST_FIELDS) after a
+    `# provenance=...` line. Every member must know its on-disk model file
+    (source_path); paths are stored relative to the manifest so the
+    directory can move as a unit.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
+    paths = []
+    for m in ensemble.members:
+        if not m.source_path:
+            raise ValueError(f"member epoch {m.epoch} has no model file to reference")
+        paths.append(os.path.relpath(os.path.abspath(m.source_path), base))
     with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# provenance={ensemble.provenance}\n")
-        writer = csv.writer(fh)
-        writer.writerow(ENSEMBLE_FIELDS)
-        for m in ensemble.members:
-            if not m.source_path:
-                raise ValueError(
-                    f"member epoch {m.epoch} has no model file to reference"
-                )
-            rel = os.path.relpath(os.path.abspath(m.source_path), base)
-            writer.writerow([rel, m.epoch, m.loss.value, repr(m.val_f1)])
+        fh.write(f"{PROVENANCE_TAG}{ensemble.provenance}\n")
+        write_manifest(fh, ensemble.members, paths)
 
 
 def load_ensemble(manifest_path) -> Ensemble:
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    provenance = ""
+    """The members (bagging.load_learners) and provenance of an ensemble manifest."""
     with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    rows = []
-    for line in lines:
-        if line.startswith("#"):
-            if line.startswith("# provenance="):
-                provenance = line.split("=", 1)[1]
-            continue
-        rows.append(line)
-    members = []
-    for row in csv.DictReader(rows):
-        path = os.path.join(base, row["path"])
-        net, _ = load_model(path)
-        members.append(
-            BaseLearner(net, int(row["epoch"]), LossKind(row["loss"]),
-                        float(row["val_f1"]), source_path=path)
-        )
-    if not members:
-        raise ValueError(f"{manifest_path}: no members listed")
-    return Ensemble(members, provenance)
+        first = fh.readline().rstrip("\r\n")
+    provenance = first[len(PROVENANCE_TAG):] if first.startswith(PROVENANCE_TAG) else ""
+    return Ensemble(load_learners(manifest_path), provenance)

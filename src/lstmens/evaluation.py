@@ -1,4 +1,4 @@
-"""Sample-wise metrics, the repetition harness, and significance testing.
+"""Sample-wise metrics, per-trial score sets, and significance testing.
 
 The headline metric is macro-averaged F1 over all K classes. A class whose
 F1 is 0/0 (absent from both truth and predictions) scores 0, which depresses
@@ -54,7 +54,7 @@ def mean_f1(cm: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# repetition harness
+# trial score sets
 
 
 @dataclass
@@ -89,17 +89,6 @@ class TrialSet:
         if self.degenerate:
             return 0.0
         return float(self.scores.std(ddof=1))
-
-    def summary(self, digits: int = 3) -> str:
-        return f"{self.mean:.{digits}f} ± {self.std:.{digits}f}"
-
-
-def run_trials(name: str, experiment, n_trials: int, base_seed: int) -> TrialSet:
-    """Repeat an experiment; trial i runs experiment(base_seed + i)."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    scores = np.array([float(experiment(base_seed + i)) for i in range(n_trials)])
-    return TrialSet(name, scores, base_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,16 @@ optimizer is one vectorized update. The per-gate names (wxf, whf, ... bo; c
 names the cell candidate g) are column views of the fused tensors: model
 files, initialisation and the gradient oracle address parameters by them.
 
-`LstmNetwork.stack` puts M same-shape networks into one whose `flat` is an
-(M, P) array: every tensor gains a leading member axis (wx (M, D_in, 4H),
-wh (M, H, 4H), b (M, 1, 4H); head w (M, H, K), b (M, 1, K)), and the shape
-properties read the trailing axes.
+Every network is built one way: `LstmNetwork(flat, shape)` binds the views
+over a given buffer, and `zeros`, `with_flat`, `copy` and `stack` only
+choose that buffer. `LstmNetwork.stack` puts M same-shape networks into one
+whose `flat` is an (M, P) array: every tensor gains a leading member axis
+(wx (M, D_in, 4H), wh (M, H, 4H), b (M, 1, 4H); head w (M, H, K), b (M, 1,
+K)), and the shape properties read the trailing axes.
+
+The recurrent state is always an `LstmState`, per-layer lists of h and c
+arrays: (H,) for one streamed sample (`step`), (B, H) for B training
+streams, with the member axis in front for a stacked network.
 
 Per timestep and layer, with sigmoid s and previous (h, c):
 
@@ -62,45 +68,14 @@ def _bias_view(buf: np.ndarray) -> np.ndarray:
     return buf if buf.ndim == 1 else _view(buf, 1, buf.shape[-1])
 
 
-class _ParamBlock:
-    """Tensors that are views into one buffer `buf`, set up by _bind: 1-d,
-    or (M, size) for stacked members, whose views gain a leading M axis."""
+class LstmLayerParams:
+    """One layer's fused parameters wx (D_in, 4H), wh (H, 4H), b (4H), and
+    the per-gate names (LAYER_WEIGHTS + LAYER_BIASES) as column views, all
+    viewing `buf` (no copy): 1-d, or (M, size) for stacked members, whose
+    views gain a leading M axis."""
 
-    @classmethod
-    def view(cls, buf: np.ndarray, *dims: int):
-        """A block of the given dims viewing buf (no copy)."""
-        block = cls.__new__(cls)
-        block._bind(buf, *dims)
-        return block
-
-    @classmethod
-    def zeros(cls, *dims: int):
-        return cls.view(np.zeros(cls.size(*dims)), *dims)
-
-
-class LstmLayerParams(_ParamBlock):
-    """One layer's fused parameters wx (D_in, 4H), wh (H, 4H), b (4H).
-
-    Built from the twelve per-gate tensors (LAYER_WEIGHTS + LAYER_BIASES as
-    keywords); afterwards each per-gate name is a view into the fused block.
-    """
-
-    def __init__(self, **tensors):
-        names = set(LAYER_WEIGHTS + LAYER_BIASES)
-        if set(tensors) != names:
-            raise TypeError(f"LstmLayerParams needs exactly the tensors {sorted(names)}")
-        d_in, hidden = np.shape(tensors["wxf"])
-        self._bind(np.empty(self.size(d_in, hidden)), d_in, hidden)
-        for name, value in tensors.items():
-            getattr(self, name)[...] = value
-
-    @staticmethod
-    def size(d_in: int, hidden: int) -> int:
-        return (d_in + hidden + 1) * 4 * hidden
-
-    def _bind(self, buf: np.ndarray, d_in: int, hidden: int) -> None:
+    def __init__(self, buf: np.ndarray, d_in: int, hidden: int):
         width = 4 * hidden
-        self.buf = buf
         self.wx = _view(buf[..., : d_in * width], d_in, width)
         self.wh = _view(buf[..., d_in * width : (d_in + hidden) * width], hidden, width)
         self.b = _bias_view(buf[..., (d_in + hidden) * width :])
@@ -109,6 +84,10 @@ class LstmLayerParams(_ParamBlock):
             setattr(self, "wx" + gate, self.wx[..., cols])
             setattr(self, "wh" + gate, self.wh[..., cols])
             setattr(self, "b" + gate, self.b[..., cols])
+
+    @staticmethod
+    def size(d_in: int, hidden: int) -> int:
+        return (d_in + hidden + 1) * 4 * hidden
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -127,23 +106,16 @@ class LstmLayerParams(_ParamBlock):
             yield name, getattr(self, name)
 
 
-class OutputLayerParams(_ParamBlock):
-    """Linear head w (H, K), b (K,), stored as views into one buffer."""
+class OutputLayerParams:
+    """Linear head w (H, K), b (K,), viewing `buf` like LstmLayerParams."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray):
-        hidden, k = np.shape(w)
-        self._bind(np.empty(self.size(hidden, k)), hidden, k)
-        self.w[...] = w
-        self.b[...] = b
+    def __init__(self, buf: np.ndarray, hidden: int, k: int):
+        self.w = _view(buf[..., : hidden * k], hidden, k)
+        self.b = _bias_view(buf[..., hidden * k :])
 
     @staticmethod
     def size(hidden: int, k: int) -> int:
         return (hidden + 1) * k
-
-    def _bind(self, buf: np.ndarray, hidden: int, k: int) -> None:
-        self.buf = buf
-        self.w = _view(buf[..., : hidden * k], hidden, k)
-        self.b = _bias_view(buf[..., hidden * k :])
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -152,33 +124,30 @@ class OutputLayerParams(_ParamBlock):
 
 @dataclass
 class LstmState:
-    """Per-layer hidden and cell vectors for one stream (shape (H,) each)."""
+    """Per-layer hidden and cell arrays of the recurrent state: (H,) each
+    for one stream, (B, H) for a batch of streams, with a leading member
+    axis for a stacked network."""
 
     h: list[np.ndarray]
     c: list[np.ndarray]
-
-    def copy(self) -> "LstmState":
-        return LstmState([v.copy() for v in self.h], [v.copy() for v in self.c])
 
 
 class LstmNetwork:
     """Stacked LSTM layers plus a linear head over one flat parameter vector.
 
-    The constructor copies the given blocks' values into a fresh `flat`; the
-    network's own layers and head are views into it.
+    `LstmNetwork(flat, shape)` binds the layers and head as views into flat
+    (no copy); shape is ((D_in, H) per layer, (H, K) of the head), as the
+    `shape` property returns it.
     """
 
-    def __init__(self, layers: list[LstmLayerParams], output: OutputLayerParams):
-        flat = np.concatenate([p.buf for p in (*layers, output)])
-        self._bind(flat, [la.dims for la in layers], output.dims)
-
-    def _bind(self, flat: np.ndarray, layer_dims, head_dims) -> None:
+    def __init__(self, flat: np.ndarray, shape: tuple):
+        layer_dims, head_dims = shape
         self.flat, self.layers, offset = flat, [], 0
         for dims in layer_dims:
             size = LstmLayerParams.size(*dims)
-            self.layers.append(LstmLayerParams.view(flat[..., offset : offset + size], *dims))
+            self.layers.append(LstmLayerParams(flat[..., offset : offset + size], *dims))
             offset += size
-        self.output = OutputLayerParams.view(flat[..., offset:], *head_dims)
+        self.output = OutputLayerParams(flat[..., offset:], *head_dims)
 
     @classmethod
     def stack(cls, nets) -> "LstmNetwork":
@@ -191,24 +160,22 @@ class LstmNetwork:
         shapes = {net.shape for net in nets}
         if len(shapes) != 1:
             raise ValueError(f"stack needs networks of one shape, got {sorted(shapes)}")
-        net = cls.__new__(cls)
-        net._bind(np.stack([n.flat for n in nets]), *shapes.pop())
-        return net
+        return cls(np.stack([n.flat for n in nets]), shapes.pop())
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int, num_classes: int,
               num_layers: int) -> "LstmNetwork":
         d_ins = [input_dim] + [hidden_dim] * (num_layers - 1)
-        return cls([LstmLayerParams.zeros(d, hidden_dim) for d in d_ins],
-                   OutputLayerParams.zeros(hidden_dim, num_classes))
+        layer_dims = tuple((d, hidden_dim) for d in d_ins)
+        head_dims = (hidden_dim, num_classes)
+        size = sum(LstmLayerParams.size(*dims) for dims in layer_dims)
+        return cls(np.zeros(size + OutputLayerParams.size(*head_dims)), (layer_dims, head_dims))
 
     def with_flat(self, flat: np.ndarray) -> "LstmNetwork":
         """A network of this shape whose tensors are views into flat (no copy)."""
         if flat.shape != self.flat.shape:
             raise ValueError(f"flat vector has shape {flat.shape}, expected {self.flat.shape}")
-        net = LstmNetwork.__new__(LstmNetwork)
-        net._bind(flat, *self.shape)
-        return net
+        return LstmNetwork(flat, self.shape)
 
     @property
     def shape(self) -> tuple:
@@ -239,44 +206,35 @@ class LstmNetwork:
         yield "out.w", self.output.w
         yield "out.b", self.output.b
 
-    def get_param(self, name: str) -> np.ndarray:
-        prefix, _, attr = name.partition(".")
-        if prefix == "out":
-            return getattr(self.output, attr)
-        return getattr(self.layers[int(prefix[1:])], attr)
-
     def copy(self) -> "LstmNetwork":
         return self.with_flat(self.flat.copy())
 
-    def zero_state(self, batch: int | None = None):
-        """Fresh all-zero state; (H,) vectors, or (batch, H) when batched."""
-        h = self.hidden_dim
-        shape = (h,) if batch is None else (batch, h)
-        if batch is None:
-            return LstmState(
-                [np.zeros(shape) for _ in self.layers],
-                [np.zeros(shape) for _ in self.layers],
-            )
-        return [(np.zeros(shape), np.zeros(shape)) for _ in self.layers]
+    def zero_state(self, batch: int | None = None) -> LstmState:
+        """Fresh all-zero state: (H,) arrays, or (batch, H) when batched; a
+        stacked network's arrays have the member axis in front."""
+        shape = (*self.flat.shape[:-1], *(() if batch is None else (batch,)), self.hidden_dim)
+        return LstmState([np.zeros(shape) for _ in self.layers],
+                         [np.zeros(shape) for _ in self.layers])
 
 
-def step_batch(net, x, hs, cs, masks=None, cache=None):
+def step_batch(net, x, state: LstmState, masks=None, cache=None):
     """One timestep for a batch of streams.
 
-    x: (B, D); hs, cs: per-layer lists of (B, H). masks, when given, is a
-    per-layer list of (B, H) multipliers applied to each layer's output on
-    its feed-forward (upward) connection only; the recurrent h path stays
-    unmasked. Returns (logits (B, K), new_hs, new_cs). When `cache` is a
-    list, one dict of intermediates per layer is appended for use by the
-    backward pass; its f, i, o and g are column views of one (B, 4H) block.
-    For a stacked network (LstmNetwork.stack) hs, cs and the results carry
-    the member axis in front, (M, B, ...); x may be shared, (B, D).
+    x: (B, D); state: per-layer (B, H) arrays. masks, when given, is a
+    per-layer sequence of (B, H) multipliers applied to each layer's output
+    on its feed-forward (upward) connection only; the recurrent h path stays
+    unmasked. Returns (logits (B, K), new_state). When `cache` is a list,
+    one dict of intermediates per layer is appended for use by the backward
+    pass; its f, i, o and g are column views of one (B, 4H) block.
+    For a stacked network (LstmNetwork.stack) the state arrays and the
+    results carry the member axis in front, (M, B, ...); x may be shared,
+    (B, D).
     """
     inp = x
     hidden = net.hidden_dim
-    new_hs, new_cs = [], []
+    new = LstmState([], [])
     for idx, layer in enumerate(net.layers):
-        h_prev, c_prev = hs[idx], cs[idx]
+        h_prev, c_prev = state.h[idx], state.c[idx]
         # preactivations inp @ wx + h_prev @ wh + b, accumulated in place and
         # then overwritten by the gate activations: one (B, 4H) buffer
         a = inp @ layer.wx
@@ -306,20 +264,21 @@ def step_batch(net, x, hs, cs, masks=None, cache=None):
                     "up": up,
                 }
             )
-        new_hs.append(h)
-        new_cs.append(c)
+        new.h.append(h)
+        new.c.append(c)
         inp = up
     logits = inp @ net.output.w + net.output.b
-    return logits, new_hs, new_cs
+    return logits, new
 
 
 def step(net: LstmNetwork, x: np.ndarray, state: LstmState, dropout_masks=None):
     """Advance the network by one sample.
 
-    Returns (logits (K,), new_state, cache) where cache holds each layer's
-    gate activations and inputs (the intermediates a backward pass needs).
-    dropout_masks, if given, is a per-layer list of (H,) multipliers and is
-    only meaningful during training.
+    state holds (H,) arrays (net.zero_state()). Returns (logits (K,),
+    new_state, cache) where cache holds each layer's gate activations and
+    inputs (the intermediates a backward pass needs). dropout_masks, if
+    given, is a per-layer list of (H,) multipliers and is only meaningful
+    during training.
     """
     # contiguous like infer_stream's rows: numpy multiplies a strided row
     # (e.g. a column of a (D, T) array) by another code path that rounds
@@ -329,15 +288,12 @@ def step(net: LstmNetwork, x: np.ndarray, state: LstmState, dropout_masks=None):
         raise ValueError(f"step: input shape {x.shape}, expected ({net.input_dim},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("step: non-finite input sample")
-    hs = [h.reshape(1, -1) for h in state.h]
-    cs = [c.reshape(1, -1) for c in state.c]
-    masks = None
-    if dropout_masks is not None:
-        masks = [m.reshape(1, -1) for m in dropout_masks]
+    # the kernel runs (1, n) rows, as infer_stream does
+    batched = LstmState([h[None] for h in state.h], [c[None] for c in state.c])
+    masks = None if dropout_masks is None else [m[None] for m in dropout_masks]
     cache: list[dict] = []
-    logits, new_hs, new_cs = step_batch(net, x.reshape(1, -1), hs, cs, masks, cache)
-    new_state = LstmState([h[0] for h in new_hs], [c[0] for c in new_cs])
-    return logits[0], new_state, cache
+    logits, new = step_batch(net, x[None], batched, masks, cache)
+    return logits[0], LstmState([h[0] for h in new.h], [c[0] for c in new.c]), cache
 
 
 def classify(logits: np.ndarray) -> np.ndarray:
@@ -366,12 +322,10 @@ def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
     bad = ~np.isfinite(xs).all(axis=1)
     if bad.any():
         raise ValueError(f"infer_stream: non-finite input sample at row {int(bad.argmax())}")
-    members = net.flat.shape[:-1]  # () for a plain network, (M,) for a stack
-    hs = [np.zeros((*members, 1, net.hidden_dim)) for _ in net.layers]
-    cs = [np.zeros((*members, 1, net.hidden_dim)) for _ in net.layers]
-    probs = np.empty((*members, xs.shape[0], net.num_classes))
+    state = net.zero_state(1)
+    probs = np.empty((*net.flat.shape[:-1], xs.shape[0], net.num_classes))
     for t in range(xs.shape[0]):
-        logits, hs, cs = step_batch(net, xs[t : t + 1], hs, cs)
+        logits, state = step_batch(net, xs[t : t + 1], state)
         probs[..., t, :] = classify(logits[..., 0, :])
     return probs
 

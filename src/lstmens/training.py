@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mathkit import log_softmax, softmax
-from .network import LstmNetwork, step_batch
+from .network import LstmNetwork, LstmState, step_batch
 from .rng import Rng
 
 
@@ -59,38 +59,30 @@ class Gradients(dict):
 
 @dataclass
 class FrameBatch:
-    """inputs (L, B, D); targets (L, B) ints; states: per-layer [(h, c)] with
-    (B, H) arrays carried in from the previous frame of the same streams."""
+    """inputs (L, B, D); targets (L, B) ints; state: (B, H) per layer,
+    carried in from the previous frame of the same streams."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    states: list
+    state: LstmState
 
 
 # ---------------------------------------------------------------------------
 # losses
 
 
-def ce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean cross entropy: -log p(target), via log-softmax of the raw scores.
-
-    Working from logits (never log of a stored probability) keeps the loss
-    finite even when the softmax saturates.
-    """
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1, np.shape(logits)[-1])
-    targets = np.asarray(targets, dtype=np.int64).ravel()
-    if targets.size == 0:
-        raise ValueError("ce_loss: empty batch")
-    logp = log_softmax(logits)
-    return float(-logp[np.arange(targets.size), targets].mean())
-
-
 def _ce_grad(logits: np.ndarray, targets: np.ndarray):
-    """(loss, dloss/dlogits) for the mean cross entropy."""
+    """(loss, dloss/dlogits) for the mean cross entropy -log p(target).
+
+    The loss comes from the log-softmax of the raw scores (never the log of
+    a stored probability), so it stays finite when the softmax saturates.
+    """
     k = logits.shape[-1]
     flat = logits.reshape(-1, k)
     t = targets.ravel()
     n = t.size
+    if n == 0:
+        raise ValueError("CE loss: empty batch")
     logp = log_softmax(flat)
     loss = float(-logp[np.arange(n), t].mean())
     dlogits = softmax(flat)
@@ -99,36 +91,21 @@ def _ce_grad(logits: np.ndarray, targets: np.ndarray):
     return loss, dlogits.reshape(logits.shape)
 
 
-def f1_loss(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Soft macro-F1 loss on class probabilities, in [0, 1].
-
-    For each class k present in the batch the term is
-    1 - 2*sum_t p_tk*z_tk / (sum_t p_tk + sum_t z_tk); the loss is the mean
-    over present classes. Classes with no target samples in the batch are
-    excluded (their term would be 0/0-degenerate).
-    """
-    probs = np.asarray(probs, dtype=np.float64).reshape(-1, np.shape(probs)[-1])
-    targets = np.asarray(targets, dtype=np.int64).ravel()
-    if targets.size == 0:
-        raise ValueError("f1_loss: batch with no labels")
-    k = probs.shape[1]
-    counts = np.bincount(targets, minlength=k).astype(np.float64)
-    present = counts > 0
-    overlap = np.zeros(k)
-    np.add.at(overlap, targets, probs[np.arange(targets.size), targets])
-    denom = probs.sum(axis=0) + counts
-    terms = 1.0 - 2.0 * overlap[present] / denom[present]
-    return float(terms.mean())
-
-
 def _f1_grad(logits: np.ndarray, targets: np.ndarray):
-    """(loss, dloss/dlogits) for the soft macro-F1 loss through the softmax."""
+    """(loss, dloss/dlogits) for the soft macro-F1 loss through the softmax.
+
+    With p the softmax of the logits, each class k present in the batch
+    contributes 1 - 2*sum_t p_tk*z_tk / (sum_t p_tk + sum_t z_tk), and the
+    loss, in [0, 1], is the mean over present classes. Classes with no
+    target samples in the batch are excluded (their term would be
+    0/0-degenerate).
+    """
     k = logits.shape[-1]
     flat = logits.reshape(-1, k)
     t = targets.ravel()
     n = t.size
     if n == 0:
-        raise ValueError("f1_loss: batch with no labels")
+        raise ValueError("F1 loss: batch with no labels")
     p = softmax(flat)
     counts = np.bincount(t, minlength=k).astype(np.float64)
     present = counts > 0
@@ -179,27 +156,22 @@ def draw_dropout_masks(rng: Rng, num_layers: int, length: int, batch: int,
     return masks.reshape(length, num_layers, batch, hidden)
 
 
-def forward_frame(net: LstmNetwork, inputs: np.ndarray, states, masks=None,
-                  want_cache: bool = True):
+def forward_frame(net: LstmNetwork, inputs: np.ndarray, state: LstmState, masks=None):
     """Run L timesteps over B streams.
 
-    inputs: (L, B, D); states: per-layer [(h, c)] of (B, H); masks: (L,
-    num_layers, B, H) or None. Returns (logits (L, B, K), new_states,
-    caches) where caches[t] is the per-layer intermediates list for
-    timestep t (empty when want_cache is False).
+    inputs: (L, B, D); state: (B, H) per layer; masks: (L, num_layers, B, H)
+    or None. Returns (logits (L, B, K), new_state, caches) where caches[t]
+    is the per-layer intermediates list for timestep t.
     """
     length, batch, _ = inputs.shape
-    hs = [h for h, _ in states]
-    cs = [c for _, c in states]
     logits = np.empty((length, batch, net.num_classes))
     caches = []
     for t in range(length):
-        step_masks = None if masks is None else list(masks[t])
-        cache_t: list[dict] | None = [] if want_cache else None
-        logits[t], hs, cs = step_batch(net, inputs[t], hs, cs, step_masks, cache_t)
-        if want_cache:
-            caches.append(cache_t)
-    return logits, list(zip(hs, cs)), caches
+        cache_t: list[dict] = []
+        logits[t], state = step_batch(net, inputs[t], state,
+                                      None if masks is None else masks[t], cache_t)
+        caches.append(cache_t)
+    return logits, state, caches
 
 
 def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> Gradients:
@@ -256,7 +228,7 @@ def bptt_frame(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
                dropout_p: float = 0.0, rng: Rng | None = None):
     """Forward + backward over one frame.
 
-    Returns (grads, new_states, loss_value). Fresh dropout masks are drawn
+    Returns (grads, new_state, loss_value). Fresh dropout masks are drawn
     from rng per timestep and layer; rng may be None when dropout_p == 0.
     """
     length, batch, _ = frame.inputs.shape
@@ -265,7 +237,7 @@ def bptt_frame(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
     masks = draw_dropout_masks(
         rng, net.num_layers, length, batch, net.hidden_dim, dropout_p
     )
-    logits, new_states, caches = forward_frame(net, frame.inputs, frame.states, masks)
+    logits, new_state, caches = forward_frame(net, frame.inputs, frame.state, masks)
     if not np.all(np.isfinite(logits)):
         bad = np.where(~np.isfinite(logits).all(axis=(0, 2)))[0]
         raise FloatingPointError(
@@ -275,28 +247,21 @@ def bptt_frame(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
     if not np.isfinite(loss_value):
         raise FloatingPointError(f"non-finite {loss.value} loss over the frame")
     grads = backward_frame(net, caches, dlogits)
-    return grads, new_states, loss_value
+    return grads, new_state, loss_value
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 
 
-def adam_update(net: LstmNetwork, grads: dict, opt: AdamState):
+def adam_update(net: LstmNetwork, grads: Gradients, opt: AdamState):
     """One ADAM step, updating net parameters and moments in place.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected
-    moments, as one vectorized update over the flat parameter vector. grads
-    is a Gradients, or any mapping of parameter name to array. Returns
-    (net, opt) for call-chaining.
+    moments, as one vectorized update over the flat parameter vector.
+    Returns (net, opt) for call-chaining.
     """
-    if isinstance(grads, Gradients):
-        g = grads.flat
-    else:
-        packed = Gradients(net)
-        for name, arr in packed.items():
-            arr[...] = grads[name]
-        g = packed.flat
+    g = grads.flat
     opt.step += 1
     b1, b2 = opt.beta1, opt.beta2
     c1 = 1.0 - b1 ** opt.step
@@ -328,8 +293,8 @@ def _frame_loss_highprec(net: LstmNetwork, frame: FrameBatch, loss: LossKind):
     """
     ld = np.longdouble
     inputs = frame.inputs.astype(ld)
-    hs = [h.astype(ld) for h, _ in frame.states]
-    cs = [c.astype(ld) for _, c in frame.states]
+    hs = [h.astype(ld) for h in frame.state.h]
+    cs = [c.astype(ld) for c in frame.state.c]
     length, _, _ = inputs.shape
     k = net.num_classes
     weights = [{name: arr.astype(ld) for name, arr in layer.tensors()}
@@ -416,12 +381,11 @@ def random_check_frame(net: LstmNetwork, rng: Rng, length: int = 5,
     targets = np.array(
         [[rng.uniform_int(0, k - 1) for _ in range(batch)] for _ in range(length)]
     )
-    states = []
+    state = LstmState([], [])
     for _ in net.layers:
-        hidden = np.tanh(rng.normal_block(batch * h).reshape(batch, h))
-        cell = rng.normal_block(batch * h).reshape(batch, h)
-        states.append((hidden, cell))
-    return FrameBatch(inputs, targets, states)
+        state.h.append(np.tanh(rng.normal_block(batch * h).reshape(batch, h)))
+        state.c.append(rng.normal_block(batch * h).reshape(batch, h))
+    return FrameBatch(inputs, targets, state)
 
 
 @dataclass

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from lstmens import init_network
@@ -13,13 +12,3 @@ def rng():
 def tiny_net(seed=0, d=3, h=4, k=3, layers=2):
     return init_network(d, h, k, num_layers=layers, rng=Rng(seed))
 
-
-def random_states(rng, net, batch):
-    """Random carried-in (h, c) pairs with h in (-1, 1)."""
-    h = net.hidden_dim
-    states = []
-    for _ in net.layers:
-        hh = np.tanh(rng.normal_block(batch * h).reshape(batch, h))
-        cc = rng.normal_block(batch * h).reshape(batch, h)
-        states.append((hh, cc))
-    return states

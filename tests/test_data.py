@@ -7,12 +7,9 @@ from lstmens.data import (
     LabeledSequence,
     NormStats,
     apply_normalizer,
-    class_distribution,
-    classwise_split,
     fit_normalizer,
     fraction_ranges,
     holdout_split,
-    invert_normalizer,
     load_csv,
     load_norm_stats,
     save_csv,
@@ -123,8 +120,10 @@ def test_normalizer_no_leakage_to_test():
 def test_normalizer_inverse_round_trip():
     seq = synth_har(3, 2, 500, seed=5)
     stats = fit_normalizer(seq)
-    back = invert_normalizer(stats, apply_normalizer(stats, seq))
-    assert np.abs(back.X - seq.X).max() < 1e-12
+    normed = apply_normalizer(stats, seq)
+    back = normed.X * stats.std[:, None] + stats.mean[:, None]
+    assert np.abs(back - seq.X).max() < 1e-12
+    assert np.array_equal(normed.z, seq.z)
 
 
 def test_normalizer_floors_constant_channel():
@@ -178,36 +177,6 @@ def test_holdout_split_rejects_overlap():
         holdout_split(seq, (0, 50), (40, 70), (70, 100))
 
 
-def test_classwise_split_preserves_order_and_fractions():
-    seq = synth_har(2, 3, 4000, seed=9)
-    train, val, test = classwise_split(seq, 0.8, 0.1)
-    assert train.num_samples + val.num_samples + test.num_samples == 4000
-    for k in range(3):
-        total = int((seq.z == k).sum())
-        assert int((train.z == k).sum()) == int(total * 0.8)
-    # selected indices stay temporally sorted within each split
-    for part in (train, val, test):
-        idx_in_first_channel = part.X[0]
-        assert idx_in_first_channel.shape[0] == part.num_samples
-
-
-# ---------------------------------------------------------------------------
-# class distribution
-
-
-def test_class_distribution_single_class():
-    seq = LabeledSequence(np.zeros((2, 10)), np.zeros(10, dtype=int), 1)
-    counts, fracs = class_distribution(seq)
-    assert counts.tolist() == [10] and fracs.tolist() == [1.0]
-
-
-def test_class_distribution_counts_sum():
-    seq = synth_har(2, 4, 5000, seed=10)
-    counts, fracs = class_distribution(seq)
-    assert counts.sum() == 5000
-    assert abs(fracs.sum() - 1.0) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # synthetic generator
 
@@ -232,7 +201,7 @@ def test_synth_balanced_fractions_concentrate():
     # allow 3 sigma plus the rounding of partial runs.
     for seed in range(10):
         seq = synth_har(3, 4, 20_000, "balanced", seed=seed)
-        _, fracs = class_distribution(seq)
+        fracs = np.bincount(seq.z, minlength=4) / seq.num_samples
         assert np.abs(fracs - 0.25).max() < 0.03, (seed, fracs)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -229,19 +230,116 @@ def test_ce_gap_nonnegative(m, n, seed):
 # manifests
 
 
-def test_ensemble_manifest_round_trip(tmp_path):
-    learners = []
-    for epoch in range(1, 5):
-        net = init_network(3, 4, 2, num_layers=1, rng=Rng(epoch))
-        learners.append(BaseLearner(net, epoch, LossKind.CE, 0.5 + 0.05 * epoch))
+def _saved_manifests(tmp_path):
+    """Four saved snapshots: their learners and the paths of their learner
+    manifest and of a top-2 ensemble manifest over them."""
+    learners = make_learners([(epoch, 0.5 + 0.05 * epoch) for epoch in range(1, 5)])
     manifest = save_learners(learners, tmp_path / "run")
-    loaded = load_learners(manifest)
-    ens = select_top_m(loaded, 2)
-    save_ensemble(ens, tmp_path / "ens.csv")
-    back = load_ensemble(tmp_path / "ens.csv")
+    ens_path = tmp_path / "ens.csv"
+    save_ensemble(select_top_m(load_learners(manifest), 2), ens_path)
+    return learners, {"learner": manifest, "ensemble": str(ens_path)}
+
+
+def _edit_manifest(path, edit):
+    """Rewrite a manifest's header and rows: edit(header, rows) gets lists of
+    cells and returns the new (header, rows); comment lines stay on top."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    header, rows = edit(header, rows)
+    body = [",".join(cells) for cells in ([header] if header else []) + rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in comments + body))
+    return len(comments)  # the header's line number, less one
+
+
+def _set_cell(name, value):
+    """An edit that sets column `name` of the first row to `value`."""
+    def edit(header, rows):
+        rows[0][header.index(name)] = value
+        return header, rows
+    return edit
+
+
+def _drop_column(name):
+    def edit(header, rows):
+        j = header.index(name)
+        return header[:j] + header[j + 1:], [r[:j] + r[j + 1:] for r in rows]
+    return edit
+
+
+def test_ensemble_manifest_round_trip(tmp_path):
+    _, paths = _saved_manifests(tmp_path)
+    ens = select_top_m(load_learners(paths["learner"]), 2)
+    back = load_ensemble(paths["ensemble"])
     assert back.size == 2
     assert back.provenance == ens.provenance
     assert [m.epoch for m in back.members] == [m.epoch for m in ens.members]
     for ma, mb in zip(ens.members, back.members):
         for (_, ta), (_, tb) in zip(ma.net.param_items(), mb.net.param_items()):
             assert np.array_equal(ta, tb)
+
+
+# (edit, line of the error counted from the header line, message)
+BAD_MANIFESTS = {
+    "missing column": (_drop_column("val_f1"), 0, r"header lacks column\(s\) val_f1"),
+    "short row": (lambda h, rows: (h, [rows[0][:-1]] + rows[1:]), 1,
+                  r"3 column\(s\), the header has 4"),
+    "non-integer epoch": (_set_cell("epoch", "2.5"), 1, r"epoch '2\.5' is not an integer"),
+    "unknown loss": (_set_cell("loss", "MSE"), 1, r"unknown loss 'MSE', expected one of CE, F1"),
+    "NaN val_f1": (_set_cell("val_f1", "nan"), 1, r"val_f1 'nan' is not a finite number"),
+    "infinite val_f1": (_set_cell("val_f1", "-inf"), 1, r"val_f1 '-inf' is not a finite number"),
+    "no rows": (lambda h, rows: (h, []), 0, r"no learners after the header"),
+    "empty": (lambda h, rows: ([], []), 0, r"empty manifest, expected the header"),
+}
+
+
+@pytest.mark.parametrize("kind", ["learner", "ensemble"])
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_manifest_reader_rejects_bad_row_naming_path_and_line(tmp_path, kind, case):
+    # one reader serves both manifests; a NaN val_f1 used to load and then
+    # rank by row order in select_top_m
+    edit, offset, message = BAD_MANIFESTS[case]
+    _, paths = _saved_manifests(tmp_path)
+    path = paths[kind]
+    lineno = _edit_manifest(path, edit) + 1 + offset
+    with pytest.raises(ValueError, match=rf"{re.escape(path)} line {lineno}: {message}"):
+        (load_learners if kind == "learner" else load_ensemble)(path)
+
+
+@pytest.mark.parametrize("kind", ["learner", "ensemble"])
+@pytest.mark.parametrize("column,value", [("epoch", "7"), ("loss", "F1"), ("val_f1", "0.25")])
+def test_manifest_row_must_match_model_file_header(tmp_path, kind, column, value):
+    _, paths = _saved_manifests(tmp_path)
+    saved = {}
+
+    def edit(header, rows):
+        saved.update(zip(header, rows[0]))
+        return _set_cell(column, value)(header, rows)
+
+    _edit_manifest(paths[kind], edit)
+
+    def fields(row):
+        return ", ".join(f"{name}={row[name]}" for name in ("epoch", "loss", "val_f1"))
+
+    message = f"row has {fields({**saved, column: value})} but model file {saved['path']} " \
+              f"has {fields(saved)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        (load_learners if kind == "learner" else load_ensemble)(paths[kind])
+
+
+def test_ensemble_manifest_in_old_column_order_loads_bitwise(tmp_path):
+    # ensemble manifests written before the layout merge put path first
+    learners, paths = _saved_manifests(tmp_path)
+    ens = load_ensemble(paths["ensemble"])
+    order = ["path", "epoch", "loss", "val_f1"]
+    _edit_manifest(paths["ensemble"], lambda h, rows: (
+        order, [[r[h.index(name)] for name in order] for r in rows]))
+    assert open(paths["ensemble"]).read().splitlines()[1] == "path,epoch,loss,val_f1"
+    back = load_ensemble(paths["ensemble"])
+    assert back.provenance == ens.provenance == "top-2 by validation F1"
+    saved = {lr.epoch: lr.net for lr in learners}
+    assert [m.epoch for m in back.members] == [4, 3]
+    for m in back.members:
+        assert m.net.flat.tobytes() == saved[m.epoch].flat.tobytes()
+        assert (m.loss, m.val_f1) == (LossKind.CE, 0.5 + 0.05 * m.epoch)

@@ -10,7 +10,6 @@ from lstmens.evaluation import (
     mean_f1,
     per_class_f1,
     regularized_incomplete_beta,
-    run_trials,
     significance_stars,
     t_test,
 )
@@ -108,27 +107,9 @@ def test_mean_f1_matches_oracle_on_random_matrices():
 # trials
 
 
-def test_run_trials_reproducible_and_seeded():
-    calls = []
-
-    def experiment(seed):
-        calls.append(seed)
-        return seed / 100.0
-
-    ts = run_trials("demo", experiment, 4, base_seed=10)
-    assert calls == [10, 11, 12, 13]
-    assert ts.scores.tolist() == [0.10, 0.11, 0.12, 0.13]
-    assert ts.n == 4
-
-
 def test_single_trial_flagged_degenerate():
     ts = TrialSet("one", [0.5])
     assert ts.degenerate and ts.std == 0.0
-
-
-def test_summary_format():
-    ts = TrialSet("paperlike", [0.718, 0.734, 0.726])
-    assert ts.summary() == "0.726 ± 0.008"
 
 
 # ---------------------------------------------------------------------------

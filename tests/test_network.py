@@ -2,23 +2,14 @@ import numpy as np
 import pytest
 
 from lstmens import classify, infer_stream, init_network, step
-from lstmens.network import LstmNetwork, LstmLayerParams, OutputLayerParams
+from lstmens.network import LstmNetwork
 from lstmens.rng import Rng
 
 from conftest import tiny_net
 
 
 def zero_net(d=2, h=3, k=2, layers=1):
-    def layer(d_in):
-        ws = {n: np.zeros((d_in if n.startswith("wx") else h, h))
-              for n in ("wxf", "whf", "wxi", "whi", "wxc", "whc", "wxo", "who")}
-        bs = {n: np.zeros(h) for n in ("bf", "bi", "bc", "bo")}
-        return LstmLayerParams(**ws, **bs)
-
-    return LstmNetwork(
-        [layer(d if i == 0 else h) for i in range(layers)],
-        OutputLayerParams(np.zeros((h, k)), np.zeros(k)),
-    )
+    return LstmNetwork.zeros(d, h, k, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +208,20 @@ def test_copy_shares_no_memory():
 
 
 def test_constructor_copies_per_gate_tensors_into_layout():
+    # per-gate tensors written through the views of LstmNetwork.zeros land in
+    # the fused column blocks [f, i, o, g] of flat, in the documented layout
     ws = {n: np.full((2 if n.startswith("wx") else 3, 3), float(k))
           for k, n in enumerate(("wxf", "whf", "wxi", "whi", "wxc", "whc", "wxo", "who"))}
     bs = {n: np.full(3, 10.0 + k) for k, n in enumerate(("bf", "bi", "bc", "bo"))}
-    layer = LstmLayerParams(**ws, **bs)
-    built = LstmNetwork([layer], OutputLayerParams(np.ones((3, 2)), np.zeros(2)))
+    built = LstmNetwork.zeros(2, 3, 2, 1)
     for name, value in {**ws, **bs}.items():
-        assert np.array_equal(getattr(built.layers[0], name), value), name
+        getattr(built.layers[0], name)[...] = value
+    built.output.w[...] = 1.0
+    blocks = {kind: [{**ws, **bs}[kind + gate] for gate in ("f", "i", "o", "c")]
+              for kind in ("wx", "wh", "b")}
+    expected = np.concatenate([np.hstack(blocks["wx"]).ravel(), np.hstack(blocks["wh"]).ravel(),
+                               np.hstack(blocks["b"]), np.ones(6), np.zeros(2)])
+    assert np.array_equal(built.flat, expected)
     assert np.shares_memory(built.layers[0].wx, built.flat)
 
 

@@ -10,11 +10,12 @@ from lstmens.rng import Rng
 from lstmens.training import (
     AdamState,
     FrameBatch,
+    Gradients,
     LossKind,
+    _ce_grad,
+    _f1_grad,
     adam_update,
     bptt_frame,
-    ce_loss,
-    f1_loss,
     finite_difference_grads,
     forward_frame,
     grad_check,
@@ -22,22 +23,26 @@ from lstmens.training import (
     relative_errors,
 )
 
-from conftest import random_states, tiny_net
+from conftest import tiny_net
 
 
 # ---------------------------------------------------------------------------
 # cross entropy
 
 
+def ce_value(logits, targets):
+    return _ce_grad(logits, targets)[0]
+
+
 def test_ce_near_perfect_predictions():
     logits = np.array([[30.0, 0.0], [0.0, 30.0]])
-    assert ce_loss(logits, np.array([0, 1])) < 1e-12
+    assert ce_value(logits, np.array([0, 1])) < 1e-12
 
 
 def test_ce_uniform_is_log_k():
     logits = np.zeros((6, 4))
     targets = np.array([0, 1, 2, 3, 0, 1])
-    assert abs(ce_loss(logits, targets) - math.log(4.0)) < 1e-15
+    assert abs(ce_value(logits, targets) - math.log(4.0)) < 1e-15
 
 
 def test_ce_matches_per_sample_oracle():
@@ -48,12 +53,12 @@ def test_ce_matches_per_sample_oracle():
     expected = np.mean(
         [-math.log(softmax(logits[t])[targets[t]]) for t in range(10)]
     )
-    assert abs(ce_loss(logits, targets) - expected) < 1e-12
+    assert abs(ce_value(logits, targets) - expected) < 1e-12
 
 
 def test_ce_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        ce_loss(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        ce_value(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -62,30 +67,34 @@ def test_ce_nonnegative(seed):
     rng = Rng(seed)
     logits = 5.0 * rng.normal_block(24).reshape(8, 3)
     targets = np.array([rng.uniform_int(0, 2) for _ in range(8)])
-    assert ce_loss(logits, targets) >= 0.0
+    assert ce_value(logits, targets) >= 0.0
 
 
 # ---------------------------------------------------------------------------
-# F1 loss
+# F1 loss, fed the logits whose softmax is the probability table of each case
+
+
+def f1_value(logits, targets):
+    return _f1_grad(logits, targets)[0]
 
 
 def test_f1_perfect_one_hot():
     probs = np.eye(3)[np.array([0, 1, 2, 1])]
     # nudge off the exact one-hot so probabilities stay in (0, 1)
     probs = np.clip(probs, 1e-300, 1.0)
-    assert f1_loss(probs, np.array([0, 1, 2, 1])) < 1e-12
+    assert f1_value(np.log(probs), np.array([0, 1, 2, 1])) < 1e-12
 
 
 def test_f1_hand_case_single_sample():
     # one sample, target 0, p = [0.5, 0.5]:
     # class 0 term = 1 - 2*0.5 / (0.5 + 1) = 1/3; class 1 absent
-    loss = f1_loss(np.array([[0.5, 0.5]]), np.array([0]))
+    loss = f1_value(np.log(np.array([[0.5, 0.5]])), np.array([0]))
     assert abs(loss - 1.0 / 3.0) < 1e-15
 
 
 def test_f1_rejects_empty():
     with pytest.raises(ValueError, match="no labels"):
-        f1_loss(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        f1_value(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -93,9 +102,8 @@ def test_f1_rejects_empty():
 def test_f1_bounded(seed):
     rng = Rng(seed)
     logits = 4.0 * rng.normal_block(36).reshape(12, 3)
-    probs = softmax(logits)
     targets = np.array([rng.uniform_int(0, 2) for _ in range(12)])
-    loss = f1_loss(probs, targets)
+    loss = f1_value(logits, targets)
     assert 0.0 <= loss <= 1.0
 
 
@@ -115,13 +123,13 @@ def test_bptt_matches_finite_differences(loss):
 def test_bptt_gradients_cover_every_tensor():
     net = tiny_net(seed=5)
     frame = random_check_frame(net, Rng(5))
-    grads, new_states, loss_value = bptt_frame(net, frame, LossKind.CE)
+    grads, new_state, loss_value = bptt_frame(net, frame, LossKind.CE)
     names = {name for name, _ in net.param_items()}
     assert set(grads) == names
     for name, arr in net.param_items():
         assert grads[name].shape == arr.shape
     assert math.isfinite(loss_value)
-    assert len(new_states) == net.num_layers
+    assert len(new_state.h) == len(new_state.c) == net.num_layers
 
 
 def test_grad_check_detects_sign_flip():
@@ -140,16 +148,13 @@ def test_states_carry_across_frames():
     net = tiny_net(seed=21)
     inputs = rng.normal_block(8 * 2 * 3).reshape(8, 2, 3)
     targets = np.zeros((8, 2), dtype=int)
-    whole_logits, whole_states, _ = forward_frame(
-        net, inputs, net.zero_state(2), want_cache=False
-    )
+    _, whole_state, _ = forward_frame(net, inputs, net.zero_state(2))
     first = FrameBatch(inputs[:5], targets[:5], net.zero_state(2))
-    _, mid_states, _ = bptt_frame(net, first, LossKind.CE)
-    second = FrameBatch(inputs[5:], targets[5:], mid_states)
-    _, end_states, _ = bptt_frame(net, second, LossKind.CE)
-    for (ha, ca), (hb, cb) in zip(whole_states, end_states):
-        assert np.array_equal(ha, hb)
-        assert np.array_equal(ca, cb)
+    _, mid_state, _ = bptt_frame(net, first, LossKind.CE)
+    second = FrameBatch(inputs[5:], targets[5:], mid_state)
+    _, end_state, _ = bptt_frame(net, second, LossKind.CE)
+    for a, b in zip(whole_state.h + whole_state.c, end_state.h + end_state.c):
+        assert np.array_equal(a, b)
 
 
 def test_bptt_reports_offending_stream_on_blowup():
@@ -234,8 +239,7 @@ def test_dropout_training_deterministic():
 def test_adam_zero_gradient_is_identity():
     net = tiny_net(seed=11)
     before = {n: a.copy() for n, a in net.param_items()}
-    grads = {n: np.zeros_like(a) for n, a in net.param_items()}
-    adam_update(net, grads, AdamState())
+    adam_update(net, Gradients(net), AdamState())
     for name, arr in net.param_items():
         assert np.array_equal(arr, before[name])
 
@@ -244,8 +248,8 @@ def test_adam_first_step_hand_case():
     # scalar parameter, g = 1, t = 1: step is lr * 1 / (1 + eps)
     net = tiny_net(seed=12)
     theta0 = net.output.b.copy()
-    grads = {n: np.zeros_like(a) for n, a in net.param_items()}
-    grads["out.b"] = np.ones_like(net.output.b)
+    grads = Gradients(net)
+    grads["out.b"][...] = 1.0
     opt = AdamState(learning_rate=0.001)
     adam_update(net, grads, opt)
     expected_step = 0.001 * 1.0 / (1.0 + 1e-8)
