@@ -154,12 +154,10 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     _echo_header(args)
-    with open(args.pred, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.DictReader(fh) if r.get("t")]
-    if not rows:
+    _, (preds, labels) = data.read_csv_columns(args.pred, ("pred", "label"), int)
+    if not preds:
         raise ValueError(f"{args.pred}: no prediction rows")
-    preds = np.array([int(r["pred"]) for r in rows])
-    labels = np.array([int(r["label"]) for r in rows])
+    preds, labels = np.array(preds), np.array(labels)
     k = args.k if args.k else int(max(preds.max(), labels.max())) + 1
     cm = evaluation.confusion(preds, labels, k)
     class_f1 = evaluation.per_class_f1(cm)

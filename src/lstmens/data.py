@@ -221,19 +221,43 @@ def save_norm_stats(stats: NormStats, path, names: list[str] | None = None) -> N
             writer.writerow([name, repr(float(m)), repr(float(s))])
 
 
+def read_csv_columns(path, columns, convert):
+    """Read the named columns of a CSV file that starts with a header row.
+
+    Returns (rows, values): rows holds (file line, row dict) per data row and
+    values[j] the converted cells of columns[j]. A header without one of the
+    columns, or a cell that convert rejects, is a ValueError naming the path
+    and the file line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for name in columns:
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{path} line 1: missing column {name!r}")
+        rows, values = [], [[] for _ in columns]
+        for row in reader:
+            rows.append((reader.line_num, row))
+            for name, column in zip(columns, values):
+                try:
+                    column.append(convert(row[name]))
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path} line {reader.line_num}: {name} {row[name]!r} "
+                                     f"is not a valid {convert.__name__}") from None
+    return rows, values
+
+
 def load_norm_stats(path) -> NormStats:
     """Read a save_norm_stats file; every mean must be finite and every std
     finite and positive, or normalized data would turn non-finite."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    mean = np.array([float(r["mean"]) for r in rows])
-    std = np.array([float(r["std"]) for r in rows])
+    rows, (mean, std) = read_csv_columns(path, ("mean", "std"), float)
+    mean, std = np.array(mean), np.array(std)
     bad = ~(np.isfinite(mean) & np.isfinite(std) & (std > 0.0))
     if bad.any():
-        row = int(bad.argmax())
+        i = int(bad.argmax())
+        lineno, row = rows[i]
         raise ValueError(
-            f"{path}: line {row + 2} (channel {rows[row].get('channel')!r}): "
-            f"mean {mean[row]!r}, std {std[row]!r}; need a finite mean and a "
+            f"{path} line {lineno} (channel {row.get('channel')!r}): "
+            f"mean {mean[i]!r}, std {std[i]!r}; need a finite mean and a "
             f"finite, positive std"
         )
     return NormStats(mean, std)

@@ -1,14 +1,13 @@
-"""Portable text format for trained networks.
+"""Binary model files (LSTMENS v2): a two-line ASCII header, then net.flat.
 
-Layout (UTF-8, one record per line):
+    LSTMENS v2\n
+    D H K LAYERS LOSSKIND EPOCH VALF1\n
+    <LstmNetwork.flat as raw little-endian float64, 8 bytes per parameter>
 
-    LSTMENS v1
-    D H K LAYERS LOSSKIND EPOCH VALF1
-    <tensor name> <ndim> <dim...> <values...>
-
-Values are row-major doubles rendered with Python's repr, which is the
-shortest decimal string that round-trips exactly, so save followed by load
-is bit-exact.
+The body is the in-memory parameter vector (layout in network.py), so save
+followed by load is bit-exact by construction; VALF1 is written with repr.
+The per-tensor text format v1 is retired. Every ModelFormatError names the
+file and the header line or the parameter body at fault.
 """
 
 from __future__ import annotations
@@ -22,12 +21,13 @@ from .training import LossKind
 
 
 FORMAT_TAG = "LSTMENS"
-FORMAT_VERSION = "v1"
+FORMAT_VERSION = "v2"
+RETIRED_VERSION = "v1"  # the per-tensor text format
 LOSS_KINDS = tuple(kind.value for kind in LossKind)
 
 
 class ModelFormatError(ValueError):
-    """Raised when a model file cannot be parsed; message carries the line."""
+    """Raised when a model file cannot be read."""
 
 
 @dataclass
@@ -39,82 +39,51 @@ class ModelMeta:
 
 def save_model(net: LstmNetwork, path, meta: ModelMeta | None = None) -> None:
     meta = meta if meta is not None else ModelMeta()
-    lines = [
-        f"{FORMAT_TAG} {FORMAT_VERSION}",
+    header = (
+        f"{FORMAT_TAG} {FORMAT_VERSION}\n"
         f"{net.input_dim} {net.hidden_dim} {net.num_classes} {net.num_layers} "
-        f"{meta.loss} {meta.epoch} {float(meta.val_f1)!r}",
-    ]
-    for name, arr in net.param_items():
-        dims = " ".join(str(d) for d in arr.shape)
-        values = " ".join(repr(float(v)) for v in arr.ravel())
-        lines.append(f"{name} {arr.ndim} {dims} {values}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _fail(lineno: int, msg: str):
-    raise ModelFormatError(f"model file line {lineno}: {msg}")
-
-
-def _zeros_network(d: int, h: int, k: int, n_layers: int) -> LstmNetwork:
-    if min(d, h, k, n_layers) < 1:
-        raise ModelFormatError(f"invalid model dimensions D={d} H={h} K={k} layers={n_layers}")
-    return LstmNetwork.zeros(d, h, k, n_layers)
+        f"{meta.loss} {meta.epoch} {float(meta.val_f1)!r}\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(net.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_model(path) -> tuple[LstmNetwork, ModelMeta]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        _fail(1, "empty file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != FORMAT_TAG:
-        _fail(1, f"not a {FORMAT_TAG} model file")
-    if header[1] != FORMAT_VERSION:
-        _fail(1, f"incompatible format version {header[1]!r}, expected {FORMAT_VERSION}")
-    if len(lines) < 2:
-        _fail(2, "missing dimension header")
-    cfg = lines[1].split()
+    def fail(where: str, msg: str):
+        raise ModelFormatError(f"{path} {where}: {msg}")
+
+    with open(path, "rb") as fh:
+        tag = fh.readline().decode("ascii", "replace").split()
+        cfg_line = fh.readline()
+        body = fh.read()
+    if len(tag) != 2 or tag[0] != FORMAT_TAG:
+        fail("line 1", f"not a {FORMAT_TAG} model file")
+    if tag[1] == RETIRED_VERSION:
+        fail("line 1", f"model format {tag[1]} is retired, this version reads only "
+                       f"{FORMAT_VERSION}; retrain to write the file again")
+    if tag[1] != FORMAT_VERSION:
+        fail("line 1", f"incompatible format version {tag[1]!r}, expected {FORMAT_VERSION}")
+    cfg = cfg_line.decode("ascii", "replace").split()
     if len(cfg) != 7:
-        _fail(2, f"expected 7 header fields, got {len(cfg)}")
+        fail("line 2", f"expected 7 header fields, got {len(cfg)}")
     try:
         d, h, k, n_layers = (int(v) for v in cfg[:4])
         meta = ModelMeta(loss=cfg[4], epoch=int(cfg[5]), val_f1=float(cfg[6]))
     except ValueError:
-        _fail(2, f"malformed dimension header: {lines[1]!r}")
+        fail("line 2", f"malformed dimension header: {' '.join(cfg)!r}")
+    if min(d, h, k, n_layers) < 1:
+        fail("line 2", f"invalid model dimensions D={d} H={h} K={k} layers={n_layers}")
     if meta.loss not in LOSS_KINDS:
-        _fail(2, f"unknown loss kind {meta.loss!r}, expected one of {', '.join(LOSS_KINDS)}")
+        fail("line 2", f"unknown loss kind {meta.loss!r}, expected one of {', '.join(LOSS_KINDS)}")
     if not np.isfinite(meta.val_f1):
-        _fail(2, f"non-finite val_f1 {cfg[6]!r}")
+        fail("line 2", f"non-finite val_f1 {cfg[6]!r}")
 
-    net = _zeros_network(d, h, k, n_layers)
-    expected = {name: arr for name, arr in net.param_items()}
-    seen = set()
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split()
-        name = parts[0]
-        if name not in expected:
-            _fail(lineno, f"unknown tensor {name!r}")
-        if name in seen:
-            _fail(lineno, f"duplicate tensor {name!r}")
-        target = expected[name]
-        try:
-            ndim = int(parts[1])
-            dims = tuple(int(v) for v in parts[2 : 2 + ndim])
-            values = np.array([float(v) for v in parts[2 + ndim :]], dtype=np.float64)
-        except (ValueError, IndexError):
-            _fail(lineno, f"malformed tensor record for {name!r}")
-        if dims != target.shape:
-            _fail(lineno, f"tensor {name!r} has dims {dims}, expected {target.shape}")
-        if values.size != target.size:
-            _fail(lineno, f"tensor {name!r} has {values.size} values, expected {target.size}")
-        if not np.all(np.isfinite(values)):
-            _fail(lineno, f"tensor {name!r} contains non-finite values")
-        target[...] = values.reshape(dims)
-        seen.add(name)
-    missing = sorted(set(expected) - seen)
-    if missing:
-        _fail(len(lines), f"truncated file, missing tensors: {', '.join(missing)}")
+    net = LstmNetwork.zeros(d, h, k, n_layers)
+    if len(body) != net.flat.nbytes:
+        fail("parameters", f"expected {net.flat.nbytes} bytes, found {len(body)}")
+    net.flat[...] = np.frombuffer(body, dtype="<f8")
+    if not np.isfinite(net.flat).all():
+        name = next(name for name, arr in net.param_items() if not np.isfinite(arr).all())
+        fail("parameters", f"tensor {name!r} contains non-finite values")
     return net, meta

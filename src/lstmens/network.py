@@ -6,9 +6,10 @@ stacking wx on wh gives the usual combined (D_in+H) x 4H matrix acting on
 [x, h]. All tensors of one network, the output head included, are views into
 one contiguous float64 vector (`LstmNetwork.flat`), laid out layer by layer
 as [wx, wh, b] and then [w, b] of the head, so a snapshot is one copy and the
-optimizer is one vectorized update. The per-gate names (wxf, whf, ... bo; c
-names the cell candidate g) are column views of the fused tensors: model
-files, initialisation and the gradient oracle address parameters by them.
+optimizer is one vectorized update; a model file stores this vector as is.
+The per-gate names (wxf, whf, ... bo; c names the cell candidate g) are
+column views of the fused tensors: initialisation, the gradient oracle and
+model-file error messages address parameters by them.
 
 Every network is built one way: `LstmNetwork(flat, shape)` binds the views
 over a given buffer, and `zeros`, `with_flat`, `copy` and `stack` only
@@ -50,8 +51,8 @@ import numpy as np
 from .mathkit import sigmoid, softmax, tanh_vec
 from .rng import Rng
 
-# fixed tensor order within a layer; initialisation, serialisation and the
-# optimizer all iterate parameters in this order
+# fixed tensor order within a layer; initialisation and param_items (gradient
+# reports, model-file errors) iterate parameters in this order
 LAYER_WEIGHTS = ("wxf", "whf", "wxi", "whi", "wxc", "whc", "wxo", "who")
 LAYER_BIASES = ("bf", "bi", "bc", "bo")
 # column-block order of the gates inside wx, wh and b

@@ -218,7 +218,8 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> Gradients:
             glayer.wx += cc["x_in"].T @ da
             glayer.wh += cc["h_prev"].T @ da
             glayer.b += da.sum(axis=0)
-            dup = da @ layer.wx.T
+            if idx > 0:  # layer 0's input gradient would flow into the data
+                dup = da @ layer.wx.T
             dh_rec[idx] = da @ layer.wh.T
             dc_rec[idx] = dc * f
     return grads

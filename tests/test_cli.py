@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lstmens.cli import main
+from lstmens.network import LstmNetwork
 
 
 def run_cli(argv, capsys):
@@ -200,3 +201,55 @@ def test_missing_data_file_is_runtime_error(tmp_path, capsys):
         capsys,
     )
     assert code == 1 and "error" in err
+
+
+def _train_and_fuse(dataset, tmp_path, capsys, epochs):
+    outdir = tmp_path / "run"
+    args = ["train", "--data", str(dataset), "--outdir", str(outdir)] + TRAIN_SMALL
+    args[args.index("--max-epoch") + 1] = epochs
+    assert run_cli(args, capsys)[0] == 0
+    ens_path = tmp_path / "ens.csv"
+    code, _, _ = run_cli(["fuse", "--manifest", str(outdir / "manifest.csv"), "--m", "1",
+                          "--out", str(ens_path)], capsys)
+    assert code == 0
+    return outdir, ens_path
+
+
+def test_truncated_model_file_fails_fuse_naming_it(dataset, tmp_path, capsys):
+    outdir, _ = _train_and_fuse(dataset, tmp_path, capsys, epochs="3")
+    model = outdir / "learner_e2_CE.lstm"
+    model.write_bytes(model.read_bytes()[:-16])
+    code, _, err = run_cli(["fuse", "--manifest", str(outdir / "manifest.csv"), "--m", "1",
+                            "--out", str(tmp_path / "e.csv")], capsys)
+    assert code == 1
+    body = LstmNetwork.zeros(3, 6, 3, 2).flat.nbytes  # TRAIN_SMALL's shape on 3 channels
+    assert err.strip() == (f"error: {model} parameters: expected {body} bytes, "
+                           f"found {body - 16}")
+
+
+def test_infer_norm_file_without_mean_column_is_an_error(dataset, tmp_path, capsys):
+    _, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    norm = tmp_path / "stats.csv"
+    norm.write_text("channel,avg,std\nc0,0.0,1.0\nc1,0.0,1.0\nc2,0.0,1.0\n")
+    code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(dataset),
+                            "--norm", str(norm), "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 1
+    assert err.strip() == f"error: {norm} line 1: missing column 'mean'"
+
+
+def test_eval_file_without_pred_column_is_an_error(tmp_path, capsys):
+    path = tmp_path / "preds.csv"
+    path.write_text("t,guess,label\n0,1,1\n1,0,0\n")
+    code, _, err = run_cli(["eval", "--pred", str(path), "--outdir", str(tmp_path / "e")],
+                           capsys)
+    assert code == 1
+    assert err.strip() == f"error: {path} line 1: missing column 'pred'"
+
+
+def test_eval_non_integer_cell_names_its_line(tmp_path, capsys):
+    path = tmp_path / "preds.csv"
+    path.write_text("t,pred,label\n0,1,1\n1,x,0\n")
+    code, _, err = run_cli(["eval", "--pred", str(path), "--outdir", str(tmp_path / "e")],
+                           capsys)
+    assert code == 1
+    assert err.strip() == f"error: {path} line 3: pred 'x' is not a valid int"

@@ -31,13 +31,38 @@ def test_save_is_deterministic(tmp_path):
     assert (tmp_path / "a.lstm").read_bytes() == (tmp_path / "b.lstm").read_bytes()
 
 
+def _header_len(path) -> int:
+    data = path.read_bytes()
+    return data.index(b"\n", data.index(b"\n") + 1) + 1
+
+
+def test_file_is_header_plus_raw_flat_vector(tmp_path):
+    net = init_network(3, 5, 4, num_layers=2, rng=Rng(6))
+    path = tmp_path / "net.lstm"
+    save_model(net, path, ModelMeta("CE", 3, 0.25))
+    header = b"LSTMENS v2\n3 5 4 2 CE 3 0.25\n"
+    assert path.read_bytes() == header + net.flat.astype("<f8").tobytes()
+    assert path.stat().st_size == len(header) + 8 * net.flat.size
+
+
 def test_truncated_file_is_parse_error(tmp_path):
     net = init_network(3, 4, 2, num_layers=1, rng=Rng(1))
     path = tmp_path / "net.lstm"
     save_model(net, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ModelFormatError, match="missing tensors"):
+    path.write_bytes(path.read_bytes()[:-5])
+    want, found = net.flat.nbytes, net.flat.nbytes - 5
+    with pytest.raises(ModelFormatError,
+                       match=rf"net\.lstm parameters: expected {want} bytes, found {found}"):
+        load_model(path)
+
+
+def test_overlong_body_is_rejected(tmp_path):
+    net = init_network(3, 4, 2, num_layers=1, rng=Rng(1))
+    path = tmp_path / "net.lstm"
+    save_model(net, path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    want = net.flat.nbytes
+    with pytest.raises(ModelFormatError, match=rf"expected {want} bytes, found {want + 8}"):
         load_model(path)
 
 
@@ -45,10 +70,12 @@ def test_version_mismatch_is_explicit(tmp_path):
     net = init_network(2, 3, 2, num_layers=1, rng=Rng(2))
     path = tmp_path / "net.lstm"
     save_model(net, path)
-    body = path.read_text().replace("LSTMENS v1", "LSTMENS v9", 1)
-    path.write_text(body)
-    with pytest.raises(ModelFormatError, match="incompatible format version"):
-        load_model(path)
+    saved = path.read_bytes()
+    for version, message in (("v1", "model format v1 is retired"),
+                             ("v9", "incompatible format version 'v9'")):
+        path.write_bytes(saved.replace(b"LSTMENS v2", f"LSTMENS {version}".encode(), 1))
+        with pytest.raises(ModelFormatError, match=rf"net\.lstm line 1: {message}"):
+            load_model(path)
 
 
 def test_wrong_tag_rejected(tmp_path):
@@ -62,28 +89,32 @@ def test_malformed_values_report_line(tmp_path):
     net = init_network(2, 3, 2, num_layers=1, rng=Rng(3))
     path = tmp_path / "net.lstm"
     save_model(net, path)
-    lines = path.read_text().splitlines()
-    parts = lines[2].split()
-    parts[5] = "bogus"
-    lines[2] = " ".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ModelFormatError, match="line 3"):
-        load_model(path)
+    saved = path.read_bytes()
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    # l0.wxf is the first H columns of l0.wx, so its entry (1, 2) is flat[1 * 4H + 2];
+    # the last 8 bytes are the last entry of out.b
+    for offset, name in ((_header_len(path) + 8 * (1 * 12 + 2), "l0.wxf"),
+                         (len(saved) - 8, "out.b")):
+        path.write_bytes(saved[:offset] + nan + saved[offset + 8 :])
+        with pytest.raises(ModelFormatError,
+                           match=rf"net\.lstm parameters: tensor '{name}' contains non-finite"):
+            load_model(path)
 
 
 def _with_header_field(path, index, value):
-    lines = path.read_text().splitlines()
-    fields = lines[1].split()
-    fields[index] = value
-    lines[1] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n")
+    data = path.read_bytes()
+    end = _header_len(path)
+    first, second = data[:end].splitlines(keepends=True)
+    fields = second.split()
+    fields[index] = value.encode()
+    path.write_bytes(first + b" ".join(fields) + b"\n" + data[end:])
 
 
 def test_unknown_loss_kind_rejected_on_line_2(tmp_path):
     path = tmp_path / "net.lstm"
     save_model(init_network(2, 3, 2, num_layers=1, rng=Rng(4)), path, ModelMeta("CE", 1, 0.5))
     _with_header_field(path, 4, "MSE")
-    with pytest.raises(ModelFormatError, match="line 2: unknown loss kind 'MSE'"):
+    with pytest.raises(ModelFormatError, match=r"net\.lstm line 2: unknown loss kind 'MSE'"):
         load_model(path)
 
 
@@ -92,5 +123,5 @@ def test_non_finite_val_f1_rejected_on_line_2(tmp_path, value):
     path = tmp_path / "net.lstm"
     save_model(init_network(2, 3, 2, num_layers=1, rng=Rng(5)), path, ModelMeta("F1", 1, 0.5))
     _with_header_field(path, 6, value)
-    with pytest.raises(ModelFormatError, match="line 2: non-finite val_f1"):
+    with pytest.raises(ModelFormatError, match=r"net\.lstm line 2: non-finite val_f1"):
         load_model(path)
