@@ -22,13 +22,12 @@ validation stream, are what the ensemble layer aggregates.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSequence
+from .data import LabeledSequence, read_csv_columns, write_csv
 from .evaluation import confusion, mean_f1
 from .modelio import LOSS_KINDS, ModelMeta, load_model, save_model
 from .network import LstmNetwork, infer_stream, init_network
@@ -162,18 +161,19 @@ def validation_f1(net: LstmNetwork, val: LabeledSequence) -> float:
 
 
 def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
-                rng: Rng | None = None, hidden_dim: int = 256, num_layers: int = 2,
+                hidden_dim: int = 256, num_layers: int = 2,
                 learning_rate: float = 0.001, on_epoch=None) -> list[BaseLearner]:
     """Full bagged training run: one BaseLearner snapshot per epoch.
 
     A single network is trained continuously (ADAM moments persist across
     epochs); after every epoch its parameters are snapshotted and scored by
-    sample-wise mean F1 on the validation stream. on_epoch, if given, is
-    called as on_epoch(epoch, train_loss, val_f1) after each epoch.
+    sample-wise mean F1 on the validation stream. All randomness comes from
+    Rng(cfg.seed). on_epoch, if given, is called as on_epoch(epoch,
+    train_loss, val_f1) after each epoch.
     """
     if val.num_samples < 1:
         raise ValueError("validation stream is empty")
-    rng = rng if rng is not None else Rng(cfg.seed)
+    rng = Rng(cfg.seed)
     net = init_network(data.num_channels, hidden_dim, data.num_classes, num_layers, rng)
     opt = AdamState(learning_rate=learning_rate)
     learners = []
@@ -190,21 +190,20 @@ def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
 # ---------------------------------------------------------------------------
 # snapshot persistence
 #
-# A manifest is a CSV of learners, one row per model file, read by column
-# name. Learner manifests (save_learners) and ensemble manifests
-# (ensembles.save_ensemble) share the layout; an ensemble manifest starts
-# with a `# provenance=...` comment line, which load_learners skips.
+# A manifest is a CSV file (data.read_csv / data.write_csv) with the header
+# MANIFEST_FIELDS and one row per learner's model file, read by column name
+# so any column order loads. Learner manifests (save_learners) and ensemble
+# manifests (ensembles.save_ensemble) share the layout; an ensemble manifest
+# starts with a `# provenance=...` comment line, which the reader skips.
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_FIELDS = ["epoch", "loss", "val_f1", "path"]
 
 
-def write_manifest(fh, learners: list[BaseLearner], paths: list[str]) -> None:
-    """The header and one row per learner, paths[j] being learner j's model file."""
-    writer = csv.writer(fh)
-    writer.writerow(MANIFEST_FIELDS)
-    for learner, path in zip(learners, paths):
-        writer.writerow([learner.epoch, learner.loss.value, repr(learner.val_f1), path])
+def manifest_rows(learners: list[BaseLearner], paths: list[str]) -> list[list]:
+    """One MANIFEST_FIELDS row per learner, paths[j] being learner j's model file."""
+    return [[learner.epoch, learner.loss.value, repr(learner.val_f1), path]
+            for learner, path in zip(learners, paths)]
 
 
 def save_learners(learners: list[BaseLearner], outdir) -> str:
@@ -220,8 +219,7 @@ def save_learners(learners: list[BaseLearner], outdir) -> str:
         save_model(learner.net, os.path.join(outdir, names[-1]),
                    ModelMeta(learner.loss.value, learner.epoch, learner.val_f1))
     manifest_path = os.path.join(outdir, MANIFEST_NAME)
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        write_manifest(fh, learners, names)
+    write_csv(manifest_path, MANIFEST_FIELDS, manifest_rows(learners, names))
     return manifest_path
 
 
@@ -245,31 +243,15 @@ def _parse_row(row: dict) -> tuple[int, LossKind, float]:
 def load_learners(manifest_path) -> list[BaseLearner]:
     """Read a learner or ensemble manifest and its model files into BaseLearners.
 
-    Columns are found by header name, so any column order loads. Each row
-    must be complete and well-formed and must agree with its model file's
-    header on (epoch, loss, val_f1); an empty manifest is an error. Every
-    failure is a ValueError naming the manifest and the line.
+    The CSV checks are data.read_csv_columns'. Each row must also be
+    well-formed and agree with its model file's header on (epoch, loss,
+    val_f1). Every failure is a ValueError naming the manifest and the line.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    numbered = [(n, line) for n, line in enumerate(lines, start=1)
-                if line.strip() and not line.startswith("#")]
-    if not numbered:
-        raise ValueError(f"{manifest_path} line {len(lines) + 1}: empty manifest, expected "
-                         f"the header {','.join(MANIFEST_FIELDS)}")
-    records = zip((n for n, _ in numbered), csv.reader(line for _, line in numbered))
-    header_no, header = next(records)
-    missing = [name for name in MANIFEST_FIELDS if name not in header]
-    if missing:
-        raise ValueError(f"{manifest_path} line {header_no}: header lacks column(s) "
-                         f"{', '.join(missing)}")
+    rows, _ = read_csv_columns(manifest_path, MANIFEST_FIELDS, str)
     learners = []
-    for lineno, cells in records:
+    for lineno, row in rows:
         where = f"{manifest_path} line {lineno}"
-        if len(cells) != len(header):
-            raise ValueError(f"{where}: {len(cells)} column(s), the header has {len(header)}")
-        row = dict(zip(header, cells))
         try:
             epoch, loss, val_f1 = _parse_row(row)
         except ValueError as exc:
@@ -283,6 +265,4 @@ def load_learners(manifest_path) -> list[BaseLearner]:
                 f"val_f1={meta.val_f1!r}"
             )
         learners.append(BaseLearner(net, epoch, loss, val_f1, source_path=path))
-    if not learners:
-        raise ValueError(f"{manifest_path} line {header_no}: no learners after the header")
     return learners

@@ -9,7 +9,6 @@ comment line. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -32,13 +31,6 @@ def _cfg_hash(args: argparse.Namespace) -> str:
 def _echo_header(args: argparse.Namespace) -> None:
     seed = getattr(args, "seed", "-")
     print(f"# seed={seed} cfg-hash={_cfg_hash(args)}")
-
-
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +139,30 @@ def cmd_infer(args) -> int:
         [t, int(preds[t]), int(seq.z[t])] + [repr(float(v)) for v in probs[t]]
         for t in range(seq.num_samples)
     ]
-    _write_rows(args.out, header, rows)
+    data.write_csv(args.out, header, rows)
     print(f"# wrote {args.out} ({seq.num_samples} predictions)")
     return 0
 
 
 def cmd_eval(args) -> int:
     _echo_header(args)
-    _, (preds, labels) = data.read_csv_columns(args.pred, ("pred", "label"), int)
-    if not preds:
-        raise ValueError(f"{args.pred}: no prediction rows")
+    rows, (preds, labels) = data.read_csv_columns(args.pred, ("pred", "label"), int)
     preds, labels = np.array(preds), np.array(labels)
     k = args.k if args.k else int(max(preds.max(), labels.max())) + 1
+    bad = (np.minimum(preds, labels) < 0) | (np.maximum(preds, labels) >= k)
+    if bad.any():
+        lineno, row = rows[int(bad.argmax())]
+        raise ValueError(f"{args.pred} line {lineno}: pred {row['pred']}, label "
+                         f"{row['label']}; classes are 0..{k - 1}")
     cm = evaluation.confusion(preds, labels, k)
     class_f1 = evaluation.per_class_f1(cm)
     os.makedirs(args.outdir, exist_ok=True)
-    _write_rows(
+    data.write_csv(
         os.path.join(args.outdir, "class_f1.csv"),
         ["class", "f1"],
         [[i, repr(float(v))] for i, v in enumerate(class_f1)],
     )
-    _write_rows(
+    data.write_csv(
         os.path.join(args.outdir, "confusion.csv"),
         ["true", "pred", "count"],
         [[i, j, int(cm[i, j])] for i in range(k) for j in range(k)],

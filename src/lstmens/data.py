@@ -1,9 +1,17 @@
-"""Dataset ingestion, normalization, splits, and the synthetic generator.
+"""CSV files, dataset ingestion, normalization, splits, and the synthetic
+generator.
+
+read_csv and write_csv are the one reader and the one writer for every CSV
+file the package reads or writes (datasets, normalizer stats, manifests,
+predictions, metrics): blank lines and '#' lines are skipped, every row has
+the first row's width, and every input error reads "<path> line N: ...",
+N being the line in the file.
 
 Sequences are stored channels-first: X has shape (D, T) with one
 double-precision row per sensor channel, and z holds one class index per
-sample. CSV files are the transpose of that: one row per sample, with the
-label in a configurable column (default 0) and every other column a channel.
+sample. Dataset CSV files are the transpose of that: one row per sample,
+with the label in a configurable column (default 0) and every other column
+a channel.
 """
 
 from __future__ import annotations
@@ -65,27 +73,84 @@ class CsvSchema:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# CSV files
 
 
-def _parse_label(cell: str, row_no: int, k: int) -> int:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ValueError(f"row {row_no}: unparseable label {cell!r}") from None
-    if math.isnan(value) or not value.is_integer():
-        raise ValueError(f"row {row_no}: label {cell!r} is not an integer")
-    label = int(value)
-    if not 0 <= label < k:
-        raise ValueError(f"row {row_no}: label {label} outside [0, {k})")
-    return label
+def read_csv(path) -> list[tuple[int, list[str]]]:
+    """Every row of a CSV file as a (file line, cells) pair.
+
+    Blank lines and lines starting with '#' are skipped, and every row must
+    have as many cells as the first. A file without rows, or a row of
+    another width, is a ValueError reading "<path> line N: ...", N being the
+    line in the file.
+    """
+    lineno = 0
+
+    def content(fh):
+        nonlocal lineno
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip() and not line.startswith("#"):
+                yield line
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            rows = [(lineno, cells) for cells in csv.reader(content(fh))]
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path} line {lineno + 1}: no rows")
+    first, width = rows[0][0], len(rows[0][1])
+    for n, cells in rows:
+        if len(cells) != width:
+            raise ValueError(f"{path} line {n}: {len(cells)} cells, line {first} has {width}")
+    return rows
 
 
-def _interpolate_nans(X: np.ndarray, names: list[str]) -> dict[str, int]:
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write the header and rows with csv's \\r\\n row ending, after a
+    '# <comment>' line (ending in \\n) when a comment is given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv_columns(path, columns, convert):
+    """Read the named columns of a CSV file whose first row is a header.
+
+    Returns (rows, values): rows holds (file line, row dict) per data row and
+    values[j] the converted cells of columns[j]. A header without one of the
+    columns, with one of them twice or without rows after it, or a cell that
+    convert rejects, is a ValueError naming the path and the file line.
+    """
+    (header_no, header), *records = read_csv(path)
+    for name in columns:
+        if header.count(name) != 1:
+            problem = "missing" if name not in header else "duplicate"
+            raise ValueError(f"{path} line {header_no}: {problem} column {name!r}")
+    if not records:
+        raise ValueError(f"{path} line {header_no}: no rows after the header")
+    rows, values = [], [[] for _ in columns]
+    for lineno, cells in records:
+        row = dict(zip(header, cells))
+        rows.append((lineno, row))
+        for name, column in zip(columns, values):
+            try:
+                column.append(convert(row[name]))
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: {name} {row[name]!r} "
+                                 f"is not a valid {convert.__name__}") from None
+    return rows, values
+
+
+def _interpolate_nans(X: np.ndarray, names: list[str], where: str) -> dict[str, int]:
     """Linear interpolation of NaN runs per channel, in place.
 
     Boundary NaNs copy the nearest valid value. A channel with no valid
-    value at all is an error. Returns per-channel interpolation counts.
+    value at all is an error, prefixed with where. Returns per-channel
+    interpolation counts.
     """
     counts: dict[str, int] = {}
     for d in range(X.shape[0]):
@@ -93,78 +158,76 @@ def _interpolate_nans(X: np.ndarray, names: list[str]) -> dict[str, int]:
         if not nan.any():
             continue
         if nan.all():
-            raise ValueError(f"channel {names[d]!r} contains no valid values")
+            raise ValueError(f"{where}: channel {names[d]!r} contains no valid values")
         valid = np.flatnonzero(~nan)
         X[d, nan] = np.interp(np.flatnonzero(nan), valid, X[d, valid])
         counts[names[d]] = int(nan.sum())
     return counts
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_csv(path, schema: CsvSchema) -> LabeledSequence:
     """Parse a dataset CSV. Header row is optional and detected by content.
 
-    Literal NaN cells in feature columns are linearly interpolated per
-    channel; interpolation counts are logged.
+    Labels must be integers in [0, K). Literal NaN cells in feature columns
+    are linearly interpolated per channel; interpolation counts are logged.
+    Every error names the path and the file line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-
-    def looks_numeric(cells):
-        try:
-            [float(c) for c in cells]
-            return True
-        except ValueError:
-            return False
-
-    names = None
-    start_row = 0
-    if not looks_numeric(rows[0]):
-        names = [c.strip() for i, c in enumerate(rows[0]) if i != schema.label_col]
-        start_row = 1
-    data_rows = rows[start_row:]
-    if not data_rows:
-        raise ValueError(f"{path}: no data rows")
-    width = len(data_rows[0])
-    if schema.label_col >= width:
-        raise ValueError(f"label column {schema.label_col} outside row width {width}")
-    if names is None:
-        names = [f"ch{i}" for i in range(width - 1)]
-
-    T = len(data_rows)
-    D = width - 1
-    X = np.empty((D, T))
-    z = np.empty(T, dtype=np.int64)
+    rows = read_csv(path)
+    (first, head), width = rows[0], len(rows[0][1])
+    if not 0 <= schema.label_col < width:
+        raise ValueError(f"{path} line {first}: label column {schema.label_col} "
+                         f"outside row width {width}")
     feature_cols = [i for i in range(width) if i != schema.label_col]
-    for t, row in enumerate(data_rows):
-        row_no = start_row + t + 1
-        if len(row) != width:
-            raise ValueError(f"row {row_no}: expected {width} cells, got {len(row)}")
-        z[t] = _parse_label(row[schema.label_col], row_no, schema.num_classes)
-        for d, col in enumerate(feature_cols):
-            try:
-                X[d, t] = float(row[col])
-            except ValueError:
-                raise ValueError(
-                    f"row {row_no}: unparseable value {row[col]!r} in column {col}"
-                ) from None
-    counts = _interpolate_nans(X, names)
+    if all(_is_number(c) for c in head):
+        names = [f"ch{i}" for i in range(width - 1)]
+    else:  # a header row, naming the channels
+        names = [head[i].strip() for i in feature_cols]
+        rows = rows[1:]
+    if not rows:
+        raise ValueError(f"{path} line {first}: no data rows after the header")
+
+    try:  # numpy parses each str cell with float()
+        table = np.array([cells for _, cells in rows], dtype=np.float64)
+    except ValueError:
+        lineno, col, cell = next((n, j, c) for n, cells in rows
+                                 for j, c in enumerate(cells) if not _is_number(c))
+        what = "label" if col == schema.label_col else "value"
+        raise ValueError(f"{path} line {lineno}: unparseable {what} {cell!r} "
+                         f"in column {col}") from None
+    labels = table[:, schema.label_col]
+    integral = np.isfinite(labels) & (labels == np.floor(labels))
+    bad = ~integral | (labels < 0) | (labels >= schema.num_classes)
+    if bad.any():
+        t = int(bad.argmax())
+        lineno, cells = rows[t]
+        problem = (f"label {int(labels[t])} outside [0, {schema.num_classes})" if integral[t]
+                   else f"label {cells[schema.label_col]!r} is not an integer")
+        raise ValueError(f"{path} line {lineno}: {problem}")
+    del rows  # the cell strings hold most of the memory load_csv takes
+
+    X = table.T[feature_cols]  # (D, T), C-contiguous
+    counts = _interpolate_nans(X, names, f"{path} line {first}")
     if counts:
         total = sum(counts.values())
         log.info("interpolated %d missing values (%s)", total,
                  ", ".join(f"{k}: {v}" for k, v in counts.items()))
-    return LabeledSequence(X, z, schema.num_classes, names)
+    return LabeledSequence(X, labels.astype(np.int64), schema.num_classes, names)
 
 
 def save_csv(seq: LabeledSequence, path) -> None:
     """Write a sequence in the load_csv layout: label first, then channels."""
     names = seq.channel_names or [f"ch{i}" for i in range(seq.num_channels)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + list(names))
-        for t in range(seq.num_samples):
-            writer.writerow([int(seq.z[t])] + [repr(float(v)) for v in seq.X[:, t]])
+    write_csv(path, ["label"] + list(names),
+              ([int(seq.z[t])] + [repr(float(v)) for v in seq.X[:, t]]
+               for t in range(seq.num_samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,36 +277,9 @@ def apply_normalizer(stats: NormStats, seq: LabeledSequence) -> LabeledSequence:
 
 def save_norm_stats(stats: NormStats, path, names: list[str] | None = None) -> None:
     names = names or [f"ch{i}" for i in range(stats.mean.shape[0])]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "mean", "std"])
-        for name, m, s in zip(names, stats.mean, stats.std):
-            writer.writerow([name, repr(float(m)), repr(float(s))])
-
-
-def read_csv_columns(path, columns, convert):
-    """Read the named columns of a CSV file that starts with a header row.
-
-    Returns (rows, values): rows holds (file line, row dict) per data row and
-    values[j] the converted cells of columns[j]. A header without one of the
-    columns, or a cell that convert rejects, is a ValueError naming the path
-    and the file line.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for name in columns:
-            if name not in (reader.fieldnames or ()):
-                raise ValueError(f"{path} line 1: missing column {name!r}")
-        rows, values = [], [[] for _ in columns]
-        for row in reader:
-            rows.append((reader.line_num, row))
-            for name, column in zip(columns, values):
-                try:
-                    column.append(convert(row[name]))
-                except (TypeError, ValueError):
-                    raise ValueError(f"{path} line {reader.line_num}: {name} {row[name]!r} "
-                                     f"is not a valid {convert.__name__}") from None
-    return rows, values
+    write_csv(path, ["channel", "mean", "std"],
+              ([name, repr(float(m)), repr(float(s))]
+               for name, m, s in zip(names, stats.mean, stats.std)))
 
 
 def load_norm_stats(path) -> NormStats:

@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bagging import BaseLearner, load_learners, write_manifest
+from .bagging import MANIFEST_FIELDS, BaseLearner, load_learners, manifest_rows
+from .data import write_csv
 from .mathkit import anchored_mean
 from .modelio import load_model  # noqa: F401 -- perfbench/tracer.py patches this name
 from .network import LstmNetwork, infer_stream
@@ -135,16 +136,16 @@ def ce_gap(target_probs) -> CeGap:
 # ---------------------------------------------------------------------------
 # manifest persistence
 
-PROVENANCE_TAG = "# provenance="
+PROVENANCE = "provenance="
 
 
 def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
     """Write an ensemble manifest referencing the members' model files.
 
     The layout is the learner manifest's (bagging.MANIFEST_FIELDS) after a
-    `# provenance=...` line. Every member must know its on-disk model file
-    (source_path); paths are stored relative to the manifest so the
-    directory can move as a unit.
+    `# provenance=...` comment line. Every member must know its on-disk
+    model file (source_path); paths are stored relative to the manifest so
+    the directory can move as a unit.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths = []
@@ -152,14 +153,14 @@ def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
         if not m.source_path:
             raise ValueError(f"member epoch {m.epoch} has no model file to reference")
         paths.append(os.path.relpath(os.path.abspath(m.source_path), base))
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{PROVENANCE_TAG}{ensemble.provenance}\n")
-        write_manifest(fh, ensemble.members, paths)
+    write_csv(manifest_path, MANIFEST_FIELDS, manifest_rows(ensemble.members, paths),
+              comment=PROVENANCE + ensemble.provenance)
 
 
 def load_ensemble(manifest_path) -> Ensemble:
     """The members (bagging.load_learners) and provenance of an ensemble manifest."""
     with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().rstrip("\r\n")
-    provenance = first[len(PROVENANCE_TAG):] if first.startswith(PROVENANCE_TAG) else ""
+    tag = f"# {PROVENANCE}"
+    provenance = first[len(tag):] if first.startswith(tag) else ""
     return Ensemble(load_learners(manifest_path), provenance)

@@ -178,29 +178,23 @@ class TTestResult:
     stars: str
 
 
-def t_test(a: TrialSet, b: TrialSet, welch: bool = True) -> TTestResult:
-    """Two-tailed independent t-test between two trial sets.
+def t_test(a: TrialSet, b: TrialSet) -> TTestResult:
+    """Two-tailed Welch (unequal-variance) t-test between two trial sets.
 
-    Welch's unequal-variance form by default; welch=False uses the pooled
-    variance. When both sets have zero variance: equal means give t=0, p=1,
-    different means give an infinite statistic and p=0.
+    When both sets have zero variance: equal means give t=0, p=1, different
+    means give an infinite statistic and p=0.
     """
     if a.n < 2 or b.n < 2:
         raise ValueError("t_test needs at least two trials per set")
     va, vb = a.scores.var(ddof=1), b.scores.var(ddof=1)
     diff = a.mean - b.mean
-    if welch:
-        sa, sb = va / a.n, vb / b.n
-        se2 = sa + sb
-        df = (
-            se2 * se2 / (sa * sa / (a.n - 1) + sb * sb / (b.n - 1))
-            if se2 > 0.0
-            else float(a.n + b.n - 2)
-        )
-    else:
-        pooled = ((a.n - 1) * va + (b.n - 1) * vb) / (a.n + b.n - 2)
-        se2 = pooled * (1.0 / a.n + 1.0 / b.n)
-        df = float(a.n + b.n - 2)
+    sa, sb = va / a.n, vb / b.n
+    se2 = sa + sb
+    df = (
+        se2 * se2 / (sa * sa / (a.n - 1) + sb * sb / (b.n - 1))
+        if se2 > 0.0
+        else float(a.n + b.n - 2)
+    )
     if se2 == 0.0:
         t = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
     else:

@@ -38,6 +38,11 @@ class ModelMeta:
 
 
 def save_model(net: LstmNetwork, path, meta: ModelMeta | None = None) -> None:
+    """Write one network; a stack (LstmNetwork.stack) is rejected before
+    the file is opened, since the header describes a single member."""
+    if net.flat.ndim != 1:
+        raise ValueError(f"{path}: cannot save a stack of {net.flat.shape[0]} networks "
+                         f"as one model file")
     meta = meta if meta is not None else ModelMeta()
     header = (
         f"{FORMAT_TAG} {FORMAT_VERSION}\n"

@@ -272,14 +272,12 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
     return logits, new
 
 
-def step(net: LstmNetwork, x: np.ndarray, state: LstmState, dropout_masks=None):
-    """Advance the network by one sample.
+def step(net: LstmNetwork, x: np.ndarray, state: LstmState):
+    """Advance the network by one sample, without dropout.
 
     state holds (H,) arrays (net.zero_state()). Returns (logits (K,),
     new_state, cache) where cache holds each layer's gate activations and
-    inputs (the intermediates a backward pass needs). dropout_masks, if
-    given, is a per-layer list of (H,) multipliers and is only meaningful
-    during training.
+    inputs (the intermediates a backward pass needs).
     """
     # contiguous like infer_stream's rows: numpy multiplies a strided row
     # (e.g. a column of a (D, T) array) by another code path that rounds
@@ -291,9 +289,8 @@ def step(net: LstmNetwork, x: np.ndarray, state: LstmState, dropout_masks=None):
         raise ValueError("step: non-finite input sample")
     # the kernel runs (1, n) rows, as infer_stream does
     batched = LstmState([h[None] for h in state.h], [c[None] for c in state.c])
-    masks = None if dropout_masks is None else [m[None] for m in dropout_masks]
     cache: list[dict] = []
-    logits, new = step_batch(net, x[None], batched, masks, cache)
+    logits, new = step_batch(net, x[None], batched, cache=cache)
     return logits[0], LstmState([h[0] for h in new.h], [c[0] for c in new.c]), cache
 
 
@@ -335,8 +332,8 @@ def init_network(
     input_dim: int,
     hidden_dim: int,
     num_classes: int,
-    num_layers: int = 2,
-    rng: Rng | None = None,
+    num_layers: int,
+    rng: Rng,
 ) -> LstmNetwork:
     """Random network: weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)).
 
@@ -347,7 +344,6 @@ def init_network(
     """
     if min(input_dim, hidden_dim, num_classes, num_layers) < 1:
         raise ValueError("init_network: all dimensions must be positive")
-    rng = rng if rng is not None else Rng(0)
 
     def draw(target: np.ndarray) -> None:
         rows, cols = target.shape

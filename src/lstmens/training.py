@@ -29,32 +29,18 @@ class LossKind(enum.Enum):
     F1 = "F1"
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """ADAM moments as flat vectors in the LstmNetwork.flat layout, allocated
     lazily on the first update."""
 
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-
-
-class Gradients(dict):
-    """Per-tensor gradients keyed by parameter name.
-
-    Every value is a view into the one vector `flat`, laid out like the
-    network's own flat vector; `net` is the zero-initialised gradient
-    network those views belong to (fused wx, wh, b per layer).
-    """
-
-    def __init__(self, net: LstmNetwork):
-        self.net = net.with_flat(np.zeros_like(net.flat))
-        self.flat = self.net.flat
-        super().__init__(self.net.param_items())
 
 
 @dataclass
@@ -174,8 +160,9 @@ def forward_frame(net: LstmNetwork, inputs: np.ndarray, state: LstmState, masks=
     return logits, state, caches
 
 
-def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> Gradients:
-    """Exact gradients of the frame loss w.r.t. every parameter.
+def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork:
+    """Exact gradients of the frame loss w.r.t. every parameter, as a
+    network of net's shape whose parameters are the gradients.
 
     Gradients are truncated at the frame boundary: nothing flows into the
     carried-in state. Each layer-step forms one (B, 4H) preactivation
@@ -186,8 +173,7 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> Gradients:
     """
     length, batch, k = dlogits.shape
     hidden = net.hidden_dim
-    grads = Gradients(net)
-    gnet = grads.net
+    gnet = net.with_flat(np.zeros_like(net.flat))
 
     # output head: logits_t = up_top_t @ w + b
     up_top = np.stack([caches[t][-1]["up"] for t in range(length)])
@@ -222,7 +208,7 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> Gradients:
                 dup = da @ layer.wx.T
             dh_rec[idx] = da @ layer.wh.T
             dc_rec[idx] = dc * f
-    return grads
+    return gnet
 
 
 def bptt_frame(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
@@ -255,7 +241,7 @@ def bptt_frame(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
 # optimizer
 
 
-def adam_update(net: LstmNetwork, grads: Gradients, opt: AdamState):
+def adam_update(net: LstmNetwork, grads: LstmNetwork, opt: AdamState):
     """One ADAM step, updating net parameters and moments in place.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected
@@ -264,7 +250,7 @@ def adam_update(net: LstmNetwork, grads: Gradients, opt: AdamState):
     """
     g = grads.flat
     opt.step += 1
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** opt.step
     c2 = 1.0 - b2 ** opt.step
     if opt.m is None:
@@ -275,7 +261,7 @@ def adam_update(net: LstmNetwork, grads: Gradients, opt: AdamState):
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * (g * g)
-    net.flat -= opt.learning_rate * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+    net.flat -= opt.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return net, opt
 
 
@@ -338,7 +324,7 @@ def _frame_loss_highprec(net: LstmNetwork, frame: FrameBatch, loss: LossKind):
 
 
 def finite_difference_grads(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
-                            delta: float = 1e-5) -> Gradients:
+                            delta: float = 1e-5) -> LstmNetwork:
     """Central-difference gradients of the frame loss, entry by entry.
 
     Each entry of net.flat is perturbed in place, so every per-gate view the
@@ -347,7 +333,7 @@ def finite_difference_grads(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
     from _frame_loss_highprec, so the quotient noise (~eps_longdouble /
     2 delta ~ 5e-15) stays far below the tolerances the check is run at.
     """
-    grads = Gradients(net)
+    grads = net.with_flat(np.zeros_like(net.flat))
     flat = net.flat
     for j in range(flat.size):
         orig = flat[j]
@@ -360,11 +346,10 @@ def finite_difference_grads(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
     return grads
 
 
-def relative_errors(analytic: dict, numeric: dict) -> dict:
+def relative_errors(analytic: LstmNetwork, numeric: LstmNetwork) -> dict:
     """Per-tensor max of |ga - gn| / max(|ga|, |gn|, 1e-8)."""
     out = {}
-    for name, ga in analytic.items():
-        gn = numeric[name]
+    for (name, ga), (_, gn) in zip(analytic.param_items(), numeric.param_items()):
         scale = np.maximum(np.maximum(np.abs(ga), np.abs(gn)), 1e-8)
         out[name] = float((np.abs(ga - gn) / scale).max())
     return out

@@ -1,9 +1,11 @@
-"""Benchmark contract: the package names perfbench/tracer.py patches exist.
+"""Benchmark contract: the package names perfbench/tracer.py patches exist,
+and the stream workload runs without a failed check.
 
 The traced benchmark run (`python3 perfbench/run.py --trace 1`) wraps package
 functions from outside, by (module, attribute), where their callers look them
-up. A renamed or removed name would otherwise surface only in a traced run;
-here it fails in the ordinary suite. perfbench is read, never written.
+up. A renamed or removed name would otherwise surface only in a traced run,
+and a broken file contract only as the benchmark's failed share; here both
+fail in the ordinary suite. perfbench is read, never written.
 """
 
 import importlib
@@ -21,15 +23,21 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
-def tracer_module(monkeypatch):
-    """perfbench/tracer.py, imported as the benchmark imports it."""
+def perfbench_import(monkeypatch):
+    """importlib.import_module for perfbench/ modules, imported as the
+    benchmark imports them and forgotten afterwards."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     for name in ("tracer", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    yield importlib.import_module("tracer")
+    yield importlib.import_module
     for name in ("tracer", "workloads"):
         sys.modules.pop(name, None)
+
+
+@pytest.fixture
+def tracer_module(perfbench_import):
+    return perfbench_import("tracer")
 
 
 def _resolve(module_name, attr):
@@ -87,3 +95,14 @@ def test_ensemble_infer_is_one_kernel_step_per_sample(tracer_module):
     names = [span[0] for span in tracer.spans]
     assert names.count("ensembles.ensemble_infer") == 1
     assert names.count("network.infer_stream") == 1
+
+
+def test_stream_workload_has_no_failed_check(perfbench_import, tmp_path):
+    # the stream pipeline writes a dataset CSV and a learner manifest, fuses
+    # an ensemble manifest, loads all three and streams through `step`
+    workloads = perfbench_import("workloads")
+    ledger = workloads.Ledger()
+    meter = workloads.RefMeter(workloads.WORKLOAD_UNITS["stream"])
+    workloads.run("stream", 1, 0.0, str(tmp_path), ledger, meter)
+    assert ledger.attempted > 0
+    assert ledger.failed == 0, ledger.errors

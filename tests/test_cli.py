@@ -253,3 +253,16 @@ def test_eval_non_integer_cell_names_its_line(tmp_path, capsys):
                            capsys)
     assert code == 1
     assert err.strip() == f"error: {path} line 3: pred 'x' is not a valid int"
+
+
+@pytest.mark.parametrize("rows,k_flag,lineno", [
+    ("0,0,0\n1,2,0\n", ["--k", "2"], 3),  # pred 2 was once counted as true class 1
+    ("0,-1,0\n", [], 2),
+], ids=["pred above --k", "negative pred"])
+def test_eval_class_outside_range_names_its_line(tmp_path, capsys, rows, k_flag, lineno):
+    path = tmp_path / "preds.csv"
+    path.write_text("t,pred,label\n" + rows)
+    code, _, err = run_cli(["eval", "--pred", str(path), "--outdir", str(tmp_path / "e")]
+                           + k_flag, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path} line {lineno}: pred ")

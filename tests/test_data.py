@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -71,13 +73,13 @@ def test_load_csv_label_out_of_range(tmp_path):
 
 def test_load_csv_unparseable_row_reports_number(tmp_path):
     path = write(tmp_path, "0,1.0\n0,junk\n")
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 2: "):
         load_csv(path, CsvSchema(num_classes=1))
 
 
 def test_load_csv_ragged_row_reports_number(tmp_path):
     path = write(tmp_path, "0,1.0,2.0\n0,1.0\n")
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 2: "):
         load_csv(path, CsvSchema(num_classes=1))
 
 

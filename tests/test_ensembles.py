@@ -282,15 +282,14 @@ def test_ensemble_manifest_round_trip(tmp_path):
 
 # (edit, line of the error counted from the header line, message)
 BAD_MANIFESTS = {
-    "missing column": (_drop_column("val_f1"), 0, r"header lacks column\(s\) val_f1"),
-    "short row": (lambda h, rows: (h, [rows[0][:-1]] + rows[1:]), 1,
-                  r"3 column\(s\), the header has 4"),
+    "missing column": (_drop_column("val_f1"), 0, r"missing column 'val_f1'"),
+    "short row": (lambda h, rows: (h, [rows[0][:-1]] + rows[1:]), 1, r"3 cells, line \d+ has 4"),
     "non-integer epoch": (_set_cell("epoch", "2.5"), 1, r"epoch '2\.5' is not an integer"),
     "unknown loss": (_set_cell("loss", "MSE"), 1, r"unknown loss 'MSE', expected one of CE, F1"),
     "NaN val_f1": (_set_cell("val_f1", "nan"), 1, r"val_f1 'nan' is not a finite number"),
     "infinite val_f1": (_set_cell("val_f1", "-inf"), 1, r"val_f1 '-inf' is not a finite number"),
-    "no rows": (lambda h, rows: (h, []), 0, r"no learners after the header"),
-    "empty": (lambda h, rows: ([], []), 0, r"empty manifest, expected the header"),
+    "no rows": (lambda h, rows: (h, []), 0, r"no rows after the header"),
+    "empty": (lambda h, rows: ([], []), 0, r"no rows$"),
 }
 
 

@@ -132,15 +132,6 @@ def test_t_test_welch_textbook_case():
     assert res.stars == ""
 
 
-def test_t_test_pooled_matches_welch_for_equal_variances():
-    a = TrialSet("a", [1, 2, 3, 4, 5])
-    b = TrialSet("b", [2, 3, 4, 5, 6])
-    welch = t_test(a, b, welch=True)
-    pooled = t_test(a, b, welch=False)
-    assert abs(welch.t - pooled.t) < 1e-12
-    assert abs(welch.p - pooled.p) < 1e-12
-
-
 def test_t_test_well_separated_three_stars():
     rng = Rng(6)
     base = 0.005 * rng.normal_block(30)

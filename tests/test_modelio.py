@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from lstmens import init_network
+from lstmens import LstmNetwork, init_network
 from lstmens.modelio import ModelFormatError, ModelMeta, load_model, save_model
 from lstmens.rng import Rng
 
@@ -22,6 +24,14 @@ def test_round_trip_bit_exact(tmp_path):
         loaded, meta = load_model(path)
         assert nets_equal(net, loaded)
         assert meta.loss == "F1" and meta.epoch == 12 and meta.val_f1 == 0.8517392
+
+
+def test_save_rejects_a_stack_before_opening_the_file(tmp_path):
+    stack = LstmNetwork.stack([init_network(2, 3, 2, num_layers=1, rng=Rng(s)) for s in (1, 2)])
+    path = tmp_path / "stack.lstm"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: cannot save a stack of 2")):
+        save_model(stack, path)
+    assert not path.exists()
 
 
 def test_save_is_deterministic(tmp_path):

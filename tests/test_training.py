@@ -10,7 +10,6 @@ from lstmens.rng import Rng
 from lstmens.training import (
     AdamState,
     FrameBatch,
-    Gradients,
     LossKind,
     _ce_grad,
     _f1_grad,
@@ -124,10 +123,9 @@ def test_bptt_gradients_cover_every_tensor():
     net = tiny_net(seed=5)
     frame = random_check_frame(net, Rng(5))
     grads, new_state, loss_value = bptt_frame(net, frame, LossKind.CE)
-    names = {name for name, _ in net.param_items()}
-    assert set(grads) == names
-    for name, arr in net.param_items():
-        assert grads[name].shape == arr.shape
+    assert grads.shape == net.shape and grads.flat.shape == net.flat.shape
+    shapes = [(name, arr.shape) for name, arr in net.param_items()]
+    assert [(name, g.shape) for name, g in grads.param_items()] == shapes
     assert math.isfinite(loss_value)
     assert len(new_state.h) == len(new_state.c) == net.num_layers
 
@@ -136,7 +134,8 @@ def test_grad_check_detects_sign_flip():
     net = tiny_net(seed=8)
     frame = random_check_frame(net, Rng(8))
     analytic, _, _ = bptt_frame(net, frame, LossKind.CE)
-    corrupted = {n: (-g if n == "l0.wxi" else g) for n, g in analytic.items()}
+    corrupted = analytic.copy()
+    corrupted.layers[0].wxi[...] *= -1.0
     numeric = finite_difference_grads(net, frame, LossKind.CE)
     errors = relative_errors(corrupted, numeric)
     assert errors["l0.wxi"] > 1e-4
@@ -229,7 +228,7 @@ def test_dropout_training_deterministic():
     ga, _, la = bptt_frame(net_a, frame_a, LossKind.CE, 0.5, Rng(9))
     gb, _, lb = bptt_frame(net_b, frame_b, LossKind.CE, 0.5, Rng(9))
     assert la == lb
-    assert all(np.array_equal(ga[n], gb[n]) for n in ga)
+    assert ga.flat.tobytes() == gb.flat.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def test_dropout_training_deterministic():
 def test_adam_zero_gradient_is_identity():
     net = tiny_net(seed=11)
     before = {n: a.copy() for n, a in net.param_items()}
-    adam_update(net, Gradients(net), AdamState())
+    adam_update(net, net.with_flat(np.zeros_like(net.flat)), AdamState())
     for name, arr in net.param_items():
         assert np.array_equal(arr, before[name])
 
@@ -248,8 +247,8 @@ def test_adam_first_step_hand_case():
     # scalar parameter, g = 1, t = 1: step is lr * 1 / (1 + eps)
     net = tiny_net(seed=12)
     theta0 = net.output.b.copy()
-    grads = Gradients(net)
-    grads["out.b"][...] = 1.0
+    grads = net.with_flat(np.zeros_like(net.flat))
+    grads.output.b[...] = 1.0
     opt = AdamState(learning_rate=0.001)
     adam_update(net, grads, opt)
     expected_step = 0.001 * 1.0 / (1.0 + 1e-8)
@@ -296,7 +295,7 @@ def test_adam_flat_update_equals_per_tensor_expression():
         grads, _, _ = bptt_frame(net, frame, LossKind.CE)
         adam_update(net, grads, opt)
         c1, c2 = 1.0 - 0.9 ** step_no, 1.0 - 0.999 ** step_no
-        for name, g in grads.items():
+        for name, g in grads.param_items():
             m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
             v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
             ref[name] = ref[name] - 0.01 * (m[name] / c1) / (np.sqrt(v[name] / c2) + 1e-8)
