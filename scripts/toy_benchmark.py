@@ -12,7 +12,6 @@ Example:
 """
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -34,6 +33,7 @@ from lstmens import (
     synth_har,
     t_test,
 )
+from lstmens.data import write_csv
 
 
 def run_trial(seed: int, args) -> dict:
@@ -64,7 +64,7 @@ def run_trial(seed: int, args) -> dict:
         f"ensemble CE (M={m})": score(select_top_m(runs[LossKind.CE], m)),
         f"ensemble F1 (M={m})": score(select_top_m(runs[LossKind.F1], m)),
         f"mixed CE+F1 (M={2 * (m // 2)})": score(
-            mixed_ensemble(runs[LossKind.CE], runs[LossKind.F1], m // 2)
+            mixed_ensemble([runs[LossKind.CE], runs[LossKind.F1]], m // 2)
         ),
     }
 
@@ -115,17 +115,12 @@ def main() -> int:
         os.makedirs(args.outdir, exist_ok=True)
         for name, ts in sets.items():
             slug = re.sub(r"\W+", "_", name).strip("_")
-            with open(os.path.join(args.outdir, f"trials_{slug}.csv"), "w",
-                      newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["trial", "seed", "mean_f1"])
-                for i, score in enumerate(ts.scores):
-                    writer.writerow([i, args.base_seed + i, repr(float(score))])
-        with open(os.path.join(args.outdir, "significance.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pair", "t", "p", "stars"])
-            for pair, res in pairs:
-                writer.writerow([pair, repr(res.t), repr(res.p), res.stars])
+            write_csv(os.path.join(args.outdir, f"trials_{slug}.csv"),
+                      ["trial", "seed", "mean_f1"],
+                      [[i, args.base_seed + i, repr(float(score))]
+                       for i, score in enumerate(ts.scores)])
+        write_csv(os.path.join(args.outdir, "significance.csv"), ["pair", "t", "p", "stars"],
+                  [[pair, repr(res.t), repr(res.p), res.stars] for pair, res in pairs])
         print(f"# wrote per-model trials and significance CSVs to {args.outdir}")
     return 0
 

@@ -248,7 +248,7 @@ def load_learners(manifest_path) -> list[BaseLearner]:
     val_f1). Every failure is a ValueError naming the manifest and the line.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    rows, _ = read_csv_columns(manifest_path, MANIFEST_FIELDS, str)
+    _, rows, _ = read_csv_columns(manifest_path, MANIFEST_FIELDS, str)
     learners = []
     for lineno, row in rows:
         where = f"{manifest_path} line {lineno}"

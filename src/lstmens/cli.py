@@ -108,18 +108,8 @@ def cmd_train(args) -> int:
 
 def cmd_fuse(args) -> int:
     _echo_header(args)
-    if args.mixed:
-        if not (args.ce_manifest and args.f1_manifest and args.m_each):
-            raise ValueError("--mixed requires --ce-manifest, --f1-manifest and --m-each")
-        ens = ensembles.mixed_ensemble(
-            bagging.load_learners(args.ce_manifest),
-            bagging.load_learners(args.f1_manifest),
-            args.m_each,
-        )
-    else:
-        if not (args.manifest and args.m):
-            raise ValueError("either --mixed ... or --manifest with --m is required")
-        ens = ensembles.select_top_m(bagging.load_learners(args.manifest), args.m)
+    runs = [bagging.load_learners(path) for path in args.manifest]
+    ens = ensembles.mixed_ensemble(runs, args.m)
     ensembles.save_ensemble(ens, args.out)
     print(f"# wrote {args.out} ({ens.size} members: {ens.provenance})")
     return 0
@@ -128,11 +118,13 @@ def cmd_fuse(args) -> int:
 def cmd_infer(args) -> int:
     _echo_header(args)
     ens = ensembles.load_ensemble(args.ensemble)
-    k = ens.members[0].net.num_classes
+    d, k = ens.members[0].net.input_dim, ens.members[0].net.num_classes
     schema = data.CsvSchema(num_classes=k, label_col=args.label_col)
     seq = data.load_csv(args.data, schema)
-    if args.norm:
-        seq = data.apply_normalizer(data.load_norm_stats(args.norm), seq)
+    if seq.num_channels != d:
+        raise ValueError(f"--data {args.data} has {seq.num_channels} channel(s), "
+                         f"--ensemble {args.ensemble} expects {d}")
+    seq = data.apply_normalizer(data.load_norm_stats(args.norm), seq)
     probs, preds = ensembles.ensemble_infer(ens, seq.X.T)
     header = ["t", "pred", "label"] + [f"p_{i}" for i in range(k)]
     rows = [
@@ -146,9 +138,14 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     _echo_header(args)
-    rows, (preds, labels) = data.read_csv_columns(args.pred, ("pred", "label"), int)
+    (header_no, header), rows, (preds, labels) = data.read_csv_columns(
+        args.pred, ("pred", "label"), int)
+    probs = [name for name in header if name.startswith("p_")]
+    k = len(probs)
+    if k == 0 or probs != [f"p_{i}" for i in range(k)]:
+        raise ValueError(f"{args.pred} line {header_no}: need the columns p_0..p_{{K-1}} "
+                         f"that infer writes, one per class; found {probs}")
     preds, labels = np.array(preds), np.array(labels)
-    k = args.k if args.k else int(max(preds.max(), labels.max())) + 1
     bad = (np.minimum(preds, labels) < 0) | (np.maximum(preds, labels) >= k)
     if bad.any():
         lineno, row = rows[int(bad.argmax())]
@@ -215,6 +212,16 @@ def cmd_coverage(args) -> int:
 # parser
 
 
+DEFAULTS = bagging.BaggingConfig()  # the paper's schedule, epochs and dropout
+
+
+def _add_schedule_flags(p) -> None:
+    """The per-epoch mini-batch size and frame length ranges."""
+    for field in ("b_low", "b_high", "l_low", "l_high"):
+        p.add_argument("--" + field.replace("_", "-"), type=int,
+                       default=getattr(DEFAULTS, field))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lstmens",
@@ -241,26 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train,val,test fractions over the stream")
     p.add_argument("--hidden", type=int, default=256)
     p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--b-low", type=int, default=128)
-    p.add_argument("--b-high", type=int, default=256)
-    p.add_argument("--l-low", type=int, default=16)
-    p.add_argument("--l-high", type=int, default=32)
-    p.add_argument("--max-epoch", type=int, default=100)
+    _add_schedule_flags(p)
+    p.add_argument("--max-epoch", type=int, default=DEFAULTS.max_epoch)
     p.add_argument("--loss", choices=["ce", "f1"], default="ce")
-    p.add_argument("--dropout", type=float, default=0.5)
+    p.add_argument("--dropout", type=float, default=DEFAULTS.dropout_p)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fuse", help="build an ensemble manifest from learners")
-    p.add_argument("--manifest", help="learner manifest CSV")
-    p.add_argument("--m", type=int, help="ensemble size for top-M selection")
-    p.add_argument("--mixed", action="store_true",
-                   help="fuse top --m-each learners from two loss runs")
-    p.add_argument("--ce-manifest")
-    p.add_argument("--f1-manifest")
-    p.add_argument("--m-each", type=int)
+    p.add_argument("--manifest", action="append", required=True,
+                   help="learner manifest CSV of one run; repeat to fuse several runs")
+    p.add_argument("--m", type=int, required=True,
+                   help="keep the top M snapshots by validation F1 of each manifest")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse)
 
@@ -268,13 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True, help="ensemble manifest")
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=int, default=0)
-    p.add_argument("--norm", help="normalizer stats CSV fitted on the training split")
+    p.add_argument("--norm", required=True,
+                   help="normalizer stats CSV that train fitted on the training split")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score an inference CSV")
-    p.add_argument("--pred", required=True, help="output of the infer command")
-    p.add_argument("--k", type=int, default=0, help="number of classes (0 = infer)")
+    p.add_argument("--pred", required=True,
+                   help="output of the infer command; its p_ columns give K")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -289,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte-Carlo estimate of per-epoch unused data")
     p.add_argument("--t", type=int, default=100000)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--b-low", type=int, default=128)
-    p.add_argument("--b-high", type=int, default=256)
-    p.add_argument("--l-low", type=int, default=16)
-    p.add_argument("--l-high", type=int, default=32)
+    _add_schedule_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_coverage)
     return parser

@@ -36,7 +36,7 @@ class LabeledSequence:
     X: np.ndarray  # (D, T)
     z: np.ndarray  # (T,) int
     num_classes: int
-    channel_names: list[str] | None = None
+    channel_names: list[str] | None = None  # None names the channels ch0, ch1, ...
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -45,6 +45,8 @@ class LabeledSequence:
             raise ValueError(
                 f"inconsistent sequence shapes: X {self.X.shape}, z {self.z.shape}"
             )
+        if self.channel_names is None:
+            self.channel_names = [f"ch{i}" for i in range(self.X.shape[0])]
         if self.z.shape[0] < 1:
             raise ValueError("sequence must contain at least one sample")
         if self.z.min() < 0 or self.z.max() >= self.num_classes:
@@ -120,7 +122,8 @@ def write_csv(path, header, rows, comment: str | None = None) -> None:
 def read_csv_columns(path, columns, convert):
     """Read the named columns of a CSV file whose first row is a header.
 
-    Returns (rows, values): rows holds (file line, row dict) per data row and
+    Returns (header, rows, values): header is the (file line, cells) pair of
+    the header row, rows holds (file line, row dict) per data row and
     values[j] the converted cells of columns[j]. A header without one of the
     columns, with one of them twice or without rows after it, or a cell that
     convert rejects, is a ValueError naming the path and the file line.
@@ -142,7 +145,7 @@ def read_csv_columns(path, columns, convert):
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: {name} {row[name]!r} "
                                  f"is not a valid {convert.__name__}") from None
-    return rows, values
+    return (header_no, header), rows, values
 
 
 def _interpolate_nans(X: np.ndarray, names: list[str], where: str) -> dict[str, int]:
@@ -186,9 +189,8 @@ def load_csv(path, schema: CsvSchema) -> LabeledSequence:
         raise ValueError(f"{path} line {first}: label column {schema.label_col} "
                          f"outside row width {width}")
     feature_cols = [i for i in range(width) if i != schema.label_col]
-    if all(_is_number(c) for c in head):
-        names = [f"ch{i}" for i in range(width - 1)]
-    else:  # a header row, naming the channels
+    names = None  # no header row: LabeledSequence's default names
+    if not all(_is_number(c) for c in head):  # a header row, naming the channels
         names = [head[i].strip() for i in feature_cols]
         rows = rows[1:]
     if not rows:
@@ -213,19 +215,20 @@ def load_csv(path, schema: CsvSchema) -> LabeledSequence:
         raise ValueError(f"{path} line {lineno}: {problem}")
     del rows  # the cell strings hold most of the memory load_csv takes
 
-    X = table.T[feature_cols]  # (D, T), C-contiguous
-    counts = _interpolate_nans(X, names, f"{path} line {first}")
+    # X is (D, T) and C-contiguous; the NaN runs are interpolated in place
+    seq = LabeledSequence(table.T[feature_cols], labels.astype(np.int64),
+                          schema.num_classes, names)
+    counts = _interpolate_nans(seq.X, seq.channel_names, f"{path} line {first}")
     if counts:
         total = sum(counts.values())
         log.info("interpolated %d missing values (%s)", total,
                  ", ".join(f"{k}: {v}" for k, v in counts.items()))
-    return LabeledSequence(X, labels.astype(np.int64), schema.num_classes, names)
+    return seq
 
 
 def save_csv(seq: LabeledSequence, path) -> None:
     """Write a sequence in the load_csv layout: label first, then channels."""
-    names = seq.channel_names or [f"ch{i}" for i in range(seq.num_channels)]
-    write_csv(path, ["label"] + list(names),
+    write_csv(path, ["label"] + list(seq.channel_names),
               ([int(seq.z[t])] + [repr(float(v)) for v in seq.X[:, t]]
                for t in range(seq.num_samples)))
 
@@ -250,8 +253,7 @@ def fit_normalizer(train: LabeledSequence) -> NormStats:
     std = train.X.std(axis=1)
     low = std < SIGMA_FLOOR
     if low.any():
-        names = train.channel_names or [f"ch{i}" for i in range(train.num_channels)]
-        flagged = [names[i] for i in np.flatnonzero(low)]
+        flagged = [train.channel_names[i] for i in np.flatnonzero(low)]
         warnings.warn(
             f"near-constant channel(s) {flagged}: std floored at {SIGMA_FLOOR}",
             RuntimeWarning,
@@ -275,8 +277,7 @@ def apply_normalizer(stats: NormStats, seq: LabeledSequence) -> LabeledSequence:
     return LabeledSequence(X, seq.z.copy(), seq.num_classes, seq.channel_names)
 
 
-def save_norm_stats(stats: NormStats, path, names: list[str] | None = None) -> None:
-    names = names or [f"ch{i}" for i in range(stats.mean.shape[0])]
+def save_norm_stats(stats: NormStats, path, names: list[str]) -> None:
     write_csv(path, ["channel", "mean", "std"],
               ([name, repr(float(m)), repr(float(s))]
                for name, m, s in zip(names, stats.mean, stats.std)))
@@ -285,7 +286,7 @@ def save_norm_stats(stats: NormStats, path, names: list[str] | None = None) -> N
 def load_norm_stats(path) -> NormStats:
     """Read a save_norm_stats file; every mean must be finite and every std
     finite and positive, or normalized data would turn non-finite."""
-    rows, (mean, std) = read_csv_columns(path, ("mean", "std"), float)
+    _, rows, (mean, std) = read_csv_columns(path, ("mean", "std"), float)
     mean, std = np.array(mean), np.array(std)
     bad = ~(np.isfinite(mean) & np.isfinite(std) & (std > 0.0))
     if bad.any():
@@ -455,5 +456,4 @@ def synth_har(num_channels: int, num_classes: int, length: int,
     base = rng.normal_block(num_channels * length).reshape(num_channels, length)
     burst = rng.normal_block(num_channels * length).reshape(num_channels, length)
     X = X + noise_std * base + (BURST_GAIN * noise_std) * burst_mask * burst
-    names = [f"ch{i}" for i in range(num_channels)]
-    return LabeledSequence(X, z, num_classes, names)
+    return LabeledSequence(X, z, num_classes)

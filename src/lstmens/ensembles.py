@@ -59,24 +59,13 @@ def select_top_m(learners: list[BaseLearner], m: int) -> Ensemble:
     return Ensemble(ranked[:m], provenance=f"top-{m} by validation F1")
 
 
-def mixed_ensemble(ce_learners: list[BaseLearner], f1_learners: list[BaseLearner],
-                   m_each: int) -> Ensemble:
-    """Union of the top m_each snapshots from two runs with different losses.
-
-    All 2*m_each members are fused with equal weight.
-    """
-    if m_each < 1:
-        raise ValueError("m_each must be >= 1")
-    if len(ce_learners) < m_each or len(f1_learners) < m_each:
-        raise ValueError(
-            f"need at least {m_each} learners per list, got "
-            f"{len(ce_learners)} and {len(f1_learners)}"
-        )
-    members = (
-        select_top_m(ce_learners, m_each).members
-        + select_top_m(f1_learners, m_each).members
-    )
-    return Ensemble(members, provenance=f"top-{m_each} from each of two loss runs")
+def mixed_ensemble(runs: list[list[BaseLearner]], m_each: int) -> Ensemble:
+    """The top m_each snapshots of each run, in run order, fused with equal
+    weight. One run gives select_top_m(run, m_each)."""
+    if len(runs) == 1:
+        return select_top_m(runs[0], m_each)
+    members = [learner for run in runs for learner in select_top_m(run, m_each).members]
+    return Ensemble(members, provenance=f"top-{m_each} from each of {len(runs)} runs")
 
 
 def ensemble_infer(ensemble: Ensemble, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +134,8 @@ def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
     The layout is the learner manifest's (bagging.MANIFEST_FIELDS) after a
     `# provenance=...` comment line. Every member must know its on-disk
     model file (source_path); paths are stored relative to the manifest so
-    the directory can move as a unit.
+    the directory can move as a unit. A model file listed twice is an error:
+    it would count as two members.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths = []
@@ -153,6 +143,8 @@ def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
         if not m.source_path:
             raise ValueError(f"member epoch {m.epoch} has no model file to reference")
         paths.append(os.path.relpath(os.path.abspath(m.source_path), base))
+        if paths[-1] in paths[:-1]:
+            raise ValueError(f"{m.source_path}: model file listed twice in the ensemble")
     write_csv(manifest_path, MANIFEST_FIELDS, manifest_rows(ensemble.members, paths),
               comment=PROVENANCE + ensemble.provenance)
 

@@ -186,7 +186,7 @@ def t_test(a: TrialSet, b: TrialSet) -> TTestResult:
     """
     if a.n < 2 or b.n < 2:
         raise ValueError("t_test needs at least two trials per set")
-    va, vb = a.scores.var(ddof=1), b.scores.var(ddof=1)
+    va, vb = float(a.scores.var(ddof=1)), float(b.scores.var(ddof=1))
     diff = a.mean - b.mean
     sa, sb = va / a.n, vb / b.n
     se2 = sa + sb

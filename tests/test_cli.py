@@ -4,7 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from lstmens.bagging import load_learners
 from lstmens.cli import main
+from lstmens.ensembles import load_ensemble, select_top_m
+from lstmens.evaluation import confusion, mean_f1
 from lstmens.network import LstmNetwork
 
 
@@ -52,6 +55,17 @@ def test_missing_required_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["infer", "--ensemble", "e.csv", "--data", "d.csv", "--out", "p.csv"], "--norm"),
+    (["fuse", "--m", "1", "--out", "e.csv"], "--manifest"),
+], ids=["infer without --norm", "fuse without --manifest"])
+def test_flag_without_default_is_required(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"required: {flag}" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -93,7 +107,7 @@ def test_train_fuse_infer_eval_pipeline(dataset, tmp_path, capsys):
 
     evaldir = tmp_path / "eval"
     code, out, _ = run_cli(
-        ["eval", "--pred", str(preds), "--k", "3", "--outdir", str(evaldir)],
+        ["eval", "--pred", str(preds), "--outdir", str(evaldir)],
         capsys,
     )
     assert code == 0
@@ -115,24 +129,38 @@ def test_train_rerun_byte_identical(dataset, tmp_path, capsys):
 
 
 def test_fuse_mixed(dataset, tmp_path, capsys):
-    runs = {}
+    manifests = []
     for loss in ("ce", "f1"):
         outdir = tmp_path / loss
         args = ["train", "--data", str(dataset), "--outdir", str(outdir),
                 "--loss", loss] + TRAIN_SMALL
         code, _, _ = run_cli(args, capsys)
         assert code == 0
-        runs[loss] = outdir / "manifest.csv"
+        manifests.append(str(outdir / "manifest.csv"))
     ens_path = tmp_path / "mixed.csv"
-    code, _, _ = run_cli(
-        ["fuse", "--mixed", "--ce-manifest", str(runs["ce"]),
-         "--f1-manifest", str(runs["f1"]), "--m-each", "1",
+    code, out, _ = run_cli(
+        ["fuse", "--manifest", manifests[0], "--manifest", manifests[1], "--m", "2",
          "--out", str(ens_path)],
         capsys,
     )
     assert code == 0
-    rows = [l for l in ens_path.read_text().splitlines() if not l.startswith("#")]
-    assert len(rows) == 3  # header + 2 members
+    assert "(4 members: top-2 from each of 2 runs)" in out
+    # the top 2 of the CE run, then of the F1 run, as the former --mixed wrote them
+    expected = [m for path in manifests for m in select_top_m(load_learners(path), 2).members]
+    assert ([(m.loss, m.epoch, m.source_path) for m in load_ensemble(ens_path).members]
+            == [(m.loss, m.epoch, m.source_path) for m in expected])
+
+
+def test_fuse_same_manifest_twice_is_an_error(dataset, tmp_path, capsys):
+    outdir, _ = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    manifest = str(outdir / "manifest.csv")
+    ens_path = tmp_path / "twice.csv"
+    code, _, err = run_cli(["fuse", "--manifest", manifest, "--manifest", manifest,
+                            "--m", "1", "--out", str(ens_path)], capsys)
+    assert code == 1
+    model = select_top_m(load_learners(manifest), 1).members[0].source_path
+    assert err.strip() == f"error: {model}: model file listed twice in the ensemble"
+    assert not ens_path.exists()
 
 
 def test_fuse_m_zero_rejected(dataset, tmp_path, capsys):
@@ -168,7 +196,7 @@ def test_eval_perfect_predictions(tmp_path, capsys):
         lines.append(f"{t},{k},{k},{1.0 - k},{float(k)}")
     path.write_text("\n".join(lines) + "\n")
     code, out, _ = run_cli(
-        ["eval", "--pred", str(path), "--k", "2", "--outdir", str(tmp_path / "e")],
+        ["eval", "--pred", str(path), "--outdir", str(tmp_path / "e")],
         capsys,
     )
     assert code == 0
@@ -237,6 +265,61 @@ def test_infer_norm_file_without_mean_column_is_an_error(dataset, tmp_path, caps
     assert err.strip() == f"error: {norm} line 1: missing column 'mean'"
 
 
+def test_infer_channel_count_mismatch_names_both_files(dataset, tmp_path, capsys):
+    outdir, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    one = tmp_path / "one_channel.csv"
+    one.write_text("label,a\n0,0.5\n1,0.25\n")
+    preds = tmp_path / "p.csv"
+    code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(one),
+                            "--norm", str(outdir / "norm_stats.csv"), "--out", str(preds)],
+                           capsys)
+    assert code == 1
+    assert err.strip() == (f"error: --data {one} has 1 channel(s), "
+                           f"--ensemble {ens_path} expects 3")
+    assert not preds.exists()
+
+
+def test_eval_takes_k_from_the_p_columns(tmp_path, capsys):
+    """A K=4 infer output without class 3 still scores over 4 classes."""
+    data_path = tmp_path / "data.csv"
+    synth = SYNTH + ["--out", str(data_path)]
+    synth[synth.index("--k") + 1] = "4"
+    assert run_cli(synth, capsys)[0] == 0
+    train = ["train", "--data", str(data_path), "--outdir", str(tmp_path / "run")] + TRAIN_SMALL
+    train[train.index("--k") + 1] = "4"
+    assert run_cli(train, capsys)[0] == 0
+    ens_path, preds = tmp_path / "ens.csv", tmp_path / "preds.csv"
+    assert run_cli(["fuse", "--manifest", str(tmp_path / "run" / "manifest.csv"), "--m", "1",
+                    "--out", str(ens_path)], capsys)[0] == 0
+    assert run_cli(["infer", "--ensemble", str(ens_path), "--data", str(data_path),
+                    "--norm", str(tmp_path / "run" / "norm_stats.csv"), "--out", str(preds)],
+                   capsys)[0] == 0
+    header, *rows = preds.read_text().splitlines()
+    assert header.endswith(",p_0,p_1,p_2,p_3")
+    rows = [r for r in rows if "3" not in r.split(",")[1:3]]  # drop class 3
+    preds.write_text("\n".join([header] + rows) + "\n")
+    code, out, _ = run_cli(["eval", "--pred", str(preds), "--outdir", str(tmp_path / "e")],
+                           capsys)
+    assert code == 0
+    pred, label = np.array([[int(c) for c in r.split(",")[1:3]] for r in rows]).T
+    assert f"mean_f1,{mean_f1(confusion(pred, label, 4))!r}" in out.splitlines()
+    assert len((tmp_path / "e" / "class_f1.csv").read_text().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize("header,row,found", [
+    ("t,pred,label", "0,1,1", "[]"),
+    ("t,pred,label,p_0,p_2", "0,1,1,0.5,0.5", "['p_0', 'p_2']"),
+], ids=["no p_ columns", "p_1 missing"])
+def test_eval_without_p_columns_names_the_header_line(tmp_path, capsys, header, row, found):
+    path = tmp_path / "preds.csv"
+    path.write_text(f"# scores\n{header}\n{row}\n")
+    code, _, err = run_cli(["eval", "--pred", str(path), "--outdir", str(tmp_path / "e")],
+                           capsys)
+    assert code == 1
+    assert err.strip() == (f"error: {path} line 2: need the columns p_0..p_{{K-1}} that "
+                           f"infer writes, one per class; found {found}")
+
+
 def test_eval_file_without_pred_column_is_an_error(tmp_path, capsys):
     path = tmp_path / "preds.csv"
     path.write_text("t,guess,label\n0,1,1\n1,0,0\n")
@@ -255,14 +338,14 @@ def test_eval_non_integer_cell_names_its_line(tmp_path, capsys):
     assert err.strip() == f"error: {path} line 3: pred 'x' is not a valid int"
 
 
-@pytest.mark.parametrize("rows,k_flag,lineno", [
-    ("0,0,0\n1,2,0\n", ["--k", "2"], 3),  # pred 2 was once counted as true class 1
-    ("0,-1,0\n", [], 2),
-], ids=["pred above --k", "negative pred"])
-def test_eval_class_outside_range_names_its_line(tmp_path, capsys, rows, k_flag, lineno):
+@pytest.mark.parametrize("rows,lineno", [
+    ("0,0,0,1.0,0.0\n1,2,0,0.0,1.0\n", 3),  # pred 2 was once counted as true class 1
+    ("0,-1,0,1.0,0.0\n", 2),
+], ids=["pred above K", "negative pred"])
+def test_eval_class_outside_range_names_its_line(tmp_path, capsys, rows, lineno):
     path = tmp_path / "preds.csv"
-    path.write_text("t,pred,label\n" + rows)
-    code, _, err = run_cli(["eval", "--pred", str(path), "--outdir", str(tmp_path / "e")]
-                           + k_flag, capsys)
+    path.write_text("t,pred,label,p_0,p_1\n" + rows)
+    code, _, err = run_cli(["eval", "--pred", str(path), "--outdir", str(tmp_path / "e")],
+                           capsys)
     assert code == 1
     assert err.startswith(f"error: {path} line {lineno}: pred ")

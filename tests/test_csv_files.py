@@ -34,13 +34,14 @@ def _dataset(tmp_path):
 
 def _norm_stats(tmp_path):
     path = tmp_path / "norm_stats.csv"
-    save_norm_stats(NormStats(np.zeros(3), np.ones(3)), path)
+    save_norm_stats(NormStats(np.zeros(3), np.ones(3)), path, ["ax", "ay", "az"])
     return path, lambda: load_norm_stats(path)
 
 
 def _predictions(tmp_path):
     path = tmp_path / "pred.csv"
-    write_csv(path, ["t", "pred", "label"], [[t, t % 2, t % 2] for t in range(4)])
+    write_csv(path, ["t", "pred", "label", "p_0", "p_1"],
+              [[t, t % 2, t % 2, 0.5, 0.5] for t in range(4)])
     args = cli.build_parser().parse_args(
         ["eval", "--pred", str(path), "--outdir", str(tmp_path / "eval")])
     return path, lambda: args.func(args)

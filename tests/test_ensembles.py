@@ -66,13 +66,16 @@ def test_select_m_out_of_range():
 def test_mixed_ensemble_sizes():
     ce = make_learners([(e, 0.5 + 0.01 * e) for e in range(1, 6)])
     f1 = make_learners([(e, 0.4 + 0.01 * e, LossKind.F1) for e in range(1, 6)])
-    ens = mixed_ensemble(ce, f1, 2)
+    ens = mixed_ensemble([ce, f1], 2)
     assert ens.size == 4
     assert [m.loss for m in ens.members] == [LossKind.CE] * 2 + [LossKind.F1] * 2
+    assert ens.provenance == "top-2 from each of 2 runs"
     with pytest.raises(ValueError):
-        mixed_ensemble(ce, f1, 0)
+        mixed_ensemble([ce, f1], 0)
     with pytest.raises(ValueError):
-        mixed_ensemble(ce, f1, 6)
+        mixed_ensemble([ce, f1], 6)
+    one, top = mixed_ensemble([ce], 2), select_top_m(ce, 2)
+    assert (one.members, one.provenance) == (top.members, top.provenance)
 
 
 # ---------------------------------------------------------------------------
