@@ -50,7 +50,7 @@ from .evaluation import (
     t_test,
 )
 from .mathkit import log_softmax, sigmoid, softmax, tanh_vec
-from .modelio import ModelFormatError, ModelMeta, load_model, save_model
+from .modelio import ModelFormatError, load_model, save_model
 from .network import (
     LstmNetwork,
     LstmState,

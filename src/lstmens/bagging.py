@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import LabeledSequence, read_csv_columns, write_csv
 from .evaluation import confusion, mean_f1
-from .modelio import LOSS_KINDS, ModelMeta, load_model, save_model
+from .modelio import BaseLearner, load_model, save_model, snapshot_fields
 from .network import LstmNetwork, infer_stream, init_network
 from .rng import Rng
 from .training import AdamState, FrameBatch, LossKind, adam_update, bptt_frame
@@ -65,7 +65,6 @@ class FrameSchedule:
     (positions 1..floor(T(1-1/B))) maps to starts 0..bound-1.
     """
 
-    epoch: int
     batch_size: int
     starts: np.ndarray
     frame_lengths: list[int]
@@ -77,18 +76,7 @@ class FrameSchedule:
         return int(sum(self.frame_lengths))
 
 
-@dataclass
-class BaseLearner:
-    """Immutable snapshot of the network after one training epoch."""
-
-    net: LstmNetwork
-    epoch: int
-    loss: LossKind
-    val_f1: float
-    source_path: str | None = None
-
-
-def make_schedule(num_samples: int, cfg: BaggingConfig, rng: Rng, epoch: int = 0) -> FrameSchedule:
+def make_schedule(num_samples: int, cfg: BaggingConfig, rng: Rng) -> FrameSchedule:
     """Draw one epoch's plan, in the fixed order: batch size, starts, lengths."""
     if num_samples <= cfg.b_high:
         raise ValueError(
@@ -108,7 +96,7 @@ def make_schedule(num_samples: int, cfg: BaggingConfig, rng: Rng, epoch: int = 0
         length = rng.uniform_int(cfg.l_low, cfg.l_high)
         lengths.append(length)
         consumed += length
-    return FrameSchedule(epoch, batch, starts, lengths, budget)
+    return FrameSchedule(batch, starts, lengths, budget)
 
 
 def epoch_coverage(schedule: FrameSchedule, num_samples: int) -> float:
@@ -178,7 +166,7 @@ def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
     opt = AdamState(learning_rate=learning_rate)
     learners = []
     for epoch in range(1, cfg.max_epoch + 1):
-        schedule = make_schedule(data.num_samples, cfg, rng, epoch)
+        schedule = make_schedule(data.num_samples, cfg, rng)
         _, _, train_loss = train_epoch(net, data, schedule, cfg, opt, rng)
         val_f1 = validation_f1(net, val)
         learners.append(BaseLearner(net.copy(), epoch, cfg.loss, val_f1))
@@ -216,36 +204,18 @@ def save_learners(learners: list[BaseLearner], outdir) -> str:
     names = []
     for learner in learners:
         names.append(f"learner_e{learner.epoch}_{learner.loss.value}.lstm")
-        save_model(learner.net, os.path.join(outdir, names[-1]),
-                   ModelMeta(learner.loss.value, learner.epoch, learner.val_f1))
+        save_model(learner, os.path.join(outdir, names[-1]))
     manifest_path = os.path.join(outdir, MANIFEST_NAME)
     write_csv(manifest_path, MANIFEST_FIELDS, manifest_rows(learners, names))
     return manifest_path
 
 
-def _parse_row(row: dict) -> tuple[int, LossKind, float]:
-    """(epoch, loss, val_f1) of one manifest row; a ValueError says what is wrong."""
-    try:
-        epoch = int(row["epoch"])
-    except ValueError:
-        raise ValueError(f"epoch {row['epoch']!r} is not an integer") from None
-    if row["loss"] not in LOSS_KINDS:
-        raise ValueError(f"unknown loss {row['loss']!r}, expected one of {', '.join(LOSS_KINDS)}")
-    try:
-        val_f1 = float(row["val_f1"])
-    except ValueError:
-        val_f1 = None
-    if val_f1 is None or not np.isfinite(val_f1):
-        raise ValueError(f"val_f1 {row['val_f1']!r} is not a finite number")
-    return epoch, LossKind(row["loss"]), val_f1
-
-
 def load_learners(manifest_path) -> list[BaseLearner]:
     """Read a learner or ensemble manifest and its model files into BaseLearners.
 
-    The CSV checks are data.read_csv_columns'. Each row must also be
-    well-formed and agree with its model file's header on (epoch, loss,
-    val_f1). Every failure is a ValueError naming the manifest and the line.
+    The CSV checks are data.read_csv_columns'; each row's fields are parsed
+    by modelio.snapshot_fields and must agree with its model file's header.
+    Every failure is a ValueError naming the manifest and the line.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     _, rows, _ = read_csv_columns(manifest_path, MANIFEST_FIELDS, str)
@@ -253,16 +223,15 @@ def load_learners(manifest_path) -> list[BaseLearner]:
     for lineno, row in rows:
         where = f"{manifest_path} line {lineno}"
         try:
-            epoch, loss, val_f1 = _parse_row(row)
+            fields = snapshot_fields(row["epoch"], row["loss"], row["val_f1"])
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        path = os.path.join(base, row["path"])
-        net, meta = load_model(path)
-        if (meta.epoch, meta.loss, meta.val_f1) != (epoch, loss.value, val_f1):
+        learner = load_model(os.path.join(base, row["path"]))
+        if (learner.epoch, learner.loss, learner.val_f1) != fields:
             raise ValueError(
-                f"{where}: row has epoch={epoch}, loss={loss.value}, val_f1={val_f1!r} but "
-                f"model file {row['path']} has epoch={meta.epoch}, loss={meta.loss}, "
-                f"val_f1={meta.val_f1!r}"
+                f"{where}: row has epoch={row['epoch']}, loss={row['loss']}, "
+                f"val_f1={row['val_f1']} but model file {row['path']} has "
+                f"epoch={learner.epoch}, loss={learner.loss.value}, val_f1={learner.val_f1!r}"
             )
-        learners.append(BaseLearner(net, epoch, loss, val_f1, source_path=path))
+        learners.append(learner)
     return learners

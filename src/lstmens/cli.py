@@ -109,6 +109,9 @@ def cmd_train(args) -> int:
 def cmd_fuse(args) -> int:
     _echo_header(args)
     runs = [bagging.load_learners(path) for path in args.manifest]
+    for path, n in zip(args.manifest, map(len, runs)):
+        if not 1 <= args.m <= n:
+            raise ValueError(f"--m {args.m} outside [1, {n}] for --manifest {path}")
     ens = ensembles.mixed_ensemble(runs, args.m)
     ensembles.save_ensemble(ens, args.out)
     print(f"# wrote {args.out} ({ens.size} members: {ens.provenance})")
@@ -121,10 +124,13 @@ def cmd_infer(args) -> int:
     d, k = ens.members[0].net.input_dim, ens.members[0].net.num_classes
     schema = data.CsvSchema(num_classes=k, label_col=args.label_col)
     seq = data.load_csv(args.data, schema)
-    if seq.num_channels != d:
-        raise ValueError(f"--data {args.data} has {seq.num_channels} channel(s), "
-                         f"--ensemble {args.ensemble} expects {d}")
-    seq = data.apply_normalizer(data.load_norm_stats(args.norm), seq)
+    stats = data.load_norm_stats(args.norm)
+    for flag, path, n in (("--data", args.data, seq.num_channels),
+                          ("--norm", args.norm, len(stats.mean))):
+        if n != d:
+            raise ValueError(f"{flag} {path} has {n} channel(s), "
+                             f"--ensemble {args.ensemble} expects {d}")
+    seq = data.apply_normalizer(stats, seq)
     probs, preds = ensembles.ensemble_infer(ens, seq.X.T)
     header = ["t", "pred", "label"] + [f"p_{i}" for i in range(k)]
     rows = [
@@ -179,10 +185,10 @@ def cmd_gradcheck(args) -> int:
         frame = random_check_frame(net, rng)
         for loss in (LossKind.CE, LossKind.F1):
             report = grad_check(net, frame, loss, tolerance=args.tolerance)
+            failed = failed or not report.ok
             for tensor, err in report.max_rel_error.items():
-                ok = err < args.tolerance
-                failed = failed or not ok
                 worst = max(worst, err)
+                ok = tensor not in report.failures
                 print(f"{args.seed + trial},{loss.value},{tensor},{err:.3e},{int(ok)}")
     print(f"# worst max_rel_error={worst:.3e} tolerance={args.tolerance:g}")
     return 1 if failed else 0
@@ -196,8 +202,8 @@ def cmd_coverage(args) -> int:
     )
     rng = Rng(args.seed)
     unused = [
-        bagging.epoch_coverage(bagging.make_schedule(args.t, cfg, rng, epoch), args.t)
-        for epoch in range(args.epochs)
+        bagging.epoch_coverage(bagging.make_schedule(args.t, cfg, rng), args.t)
+        for _ in range(args.epochs)
     ]
     arr = np.array(unused)
     print("epochs,t,mean_unused,min_unused,max_unused")
@@ -250,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=2)
     _add_schedule_flags(p)
     p.add_argument("--max-epoch", type=int, default=DEFAULTS.max_epoch)
-    p.add_argument("--loss", choices=["ce", "f1"], default="ce")
+    p.add_argument("--loss", choices=[kind.value.lower() for kind in LossKind], default="ce")
     p.add_argument("--dropout", type=float, default=DEFAULTS.dropout_p)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--seed", type=int, default=0)

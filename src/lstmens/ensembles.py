@@ -24,10 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bagging import MANIFEST_FIELDS, BaseLearner, load_learners, manifest_rows
+from .bagging import MANIFEST_FIELDS, load_learners, manifest_rows
 from .data import write_csv
 from .mathkit import anchored_mean
-from .modelio import load_model  # noqa: F401 -- perfbench/tracer.py patches this name
+from .modelio import BaseLearner, load_model  # noqa: F401 -- perfbench/tracer.py patches load_model
 from .network import LstmNetwork, infer_stream
 
 
@@ -42,6 +42,11 @@ class Ensemble:
         dims = {(m.net.input_dim, m.net.num_classes) for m in self.members}
         if len(dims) != 1:
             raise ValueError(f"members disagree on (D, K): {sorted(dims)}")
+        # one model file is one member; in-memory members (no file) are exempt
+        files = [os.path.abspath(m.source_path) for m in self.members if m.source_path]
+        for j, path in enumerate(files):
+            if path in files[:j]:
+                raise ValueError(f"{path}: model file listed twice in the ensemble")
 
     @property
     def size(self) -> int:
@@ -134,8 +139,7 @@ def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
     The layout is the learner manifest's (bagging.MANIFEST_FIELDS) after a
     `# provenance=...` comment line. Every member must know its on-disk
     model file (source_path); paths are stored relative to the manifest so
-    the directory can move as a unit. A model file listed twice is an error:
-    it would count as two members.
+    the directory can move as a unit.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths = []
@@ -143,8 +147,6 @@ def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
         if not m.source_path:
             raise ValueError(f"member epoch {m.epoch} has no model file to reference")
         paths.append(os.path.relpath(os.path.abspath(m.source_path), base))
-        if paths[-1] in paths[:-1]:
-            raise ValueError(f"{m.source_path}: model file listed twice in the ensemble")
     write_csv(manifest_path, MANIFEST_FIELDS, manifest_rows(ensemble.members, paths),
               comment=PROVENANCE + ensemble.provenance)
 
@@ -155,4 +157,8 @@ def load_ensemble(manifest_path) -> Ensemble:
         first = fh.readline().rstrip("\r\n")
     tag = f"# {PROVENANCE}"
     provenance = first[len(tag):] if first.startswith(tag) else ""
-    return Ensemble(load_learners(manifest_path), provenance)
+    learners = load_learners(manifest_path)
+    try:
+        return Ensemble(learners, provenance)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None

@@ -5,10 +5,9 @@ F1 is 0/0 (absent from both truth and predictions) scores 0, which depresses
 the mean -- deliberate, and worth remembering when comparing runs on
 imbalanced data.
 
-Two-tailed independent t-tests use Welch's unequal-variance statistic by
-default (a pooled-variance variant is available via a flag); the p value
-comes from the regularized incomplete beta function, implemented here with
-the standard continued-fraction expansion.
+Two-tailed independent t-tests use Welch's unequal-variance statistic; the
+p value comes from the regularized incomplete beta function, implemented
+here with the standard continued-fraction expansion.
 """
 
 from __future__ import annotations

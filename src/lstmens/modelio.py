@@ -23,7 +23,6 @@ from .training import LossKind
 FORMAT_TAG = "LSTMENS"
 FORMAT_VERSION = "v2"
 RETIRED_VERSION = "v1"  # the per-tensor text format
-LOSS_KINDS = tuple(kind.value for kind in LossKind)
 
 
 class ModelFormatError(ValueError):
@@ -31,30 +30,55 @@ class ModelFormatError(ValueError):
 
 
 @dataclass
-class ModelMeta:
-    loss: str = "CE"
-    epoch: int = 0
-    val_f1: float = 0.0
+class BaseLearner:
+    """Immutable snapshot of the network after one training epoch."""
+
+    net: LstmNetwork
+    epoch: int
+    loss: LossKind
+    val_f1: float
+    source_path: str | None = None
 
 
-def save_model(net: LstmNetwork, path, meta: ModelMeta | None = None) -> None:
-    """Write one network; a stack (LstmNetwork.stack) is rejected before
+def snapshot_fields(epoch: str, loss: str, val_f1: str) -> tuple[int, LossKind, float]:
+    """(epoch, loss, val_f1) of a snapshot from their text; a ValueError names the field."""
+    try:
+        epoch_value = int(epoch)
+    except ValueError:
+        raise ValueError(f"epoch {epoch!r} is not an integer") from None
+    try:
+        loss_kind = LossKind(loss)
+    except ValueError:
+        kinds = ", ".join(kind.value for kind in LossKind)
+        raise ValueError(f"unknown loss {loss!r}, expected one of {kinds}") from None
+    try:
+        val_f1_value = float(val_f1)
+    except ValueError:
+        val_f1_value = np.nan
+    if not np.isfinite(val_f1_value):
+        raise ValueError(f"val_f1 {val_f1!r} is not a finite number")
+    return epoch_value, loss_kind, val_f1_value
+
+
+def save_model(learner: BaseLearner, path) -> None:
+    """Write one snapshot; a stack (LstmNetwork.stack) is rejected before
     the file is opened, since the header describes a single member."""
+    net = learner.net
     if net.flat.ndim != 1:
         raise ValueError(f"{path}: cannot save a stack of {net.flat.shape[0]} networks "
                          f"as one model file")
-    meta = meta if meta is not None else ModelMeta()
     header = (
         f"{FORMAT_TAG} {FORMAT_VERSION}\n"
         f"{net.input_dim} {net.hidden_dim} {net.num_classes} {net.num_layers} "
-        f"{meta.loss} {meta.epoch} {float(meta.val_f1)!r}\n"
+        f"{learner.loss.value} {learner.epoch} {float(learner.val_f1)!r}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(net.flat.astype("<f8", copy=False).tobytes())
 
 
-def load_model(path) -> tuple[LstmNetwork, ModelMeta]:
+def load_model(path) -> BaseLearner:
+    """The snapshot a model file holds, with source_path=str(path)."""
     def fail(where: str, msg: str):
         raise ModelFormatError(f"{path} {where}: {msg}")
 
@@ -74,15 +98,14 @@ def load_model(path) -> tuple[LstmNetwork, ModelMeta]:
         fail("line 2", f"expected 7 header fields, got {len(cfg)}")
     try:
         d, h, k, n_layers = (int(v) for v in cfg[:4])
-        meta = ModelMeta(loss=cfg[4], epoch=int(cfg[5]), val_f1=float(cfg[6]))
     except ValueError:
         fail("line 2", f"malformed dimension header: {' '.join(cfg)!r}")
     if min(d, h, k, n_layers) < 1:
         fail("line 2", f"invalid model dimensions D={d} H={h} K={k} layers={n_layers}")
-    if meta.loss not in LOSS_KINDS:
-        fail("line 2", f"unknown loss kind {meta.loss!r}, expected one of {', '.join(LOSS_KINDS)}")
-    if not np.isfinite(meta.val_f1):
-        fail("line 2", f"non-finite val_f1 {cfg[6]!r}")
+    try:
+        epoch, loss, val_f1 = snapshot_fields(cfg[5], cfg[4], cfg[6])
+    except ValueError as exc:
+        fail("line 2", str(exc))
 
     net = LstmNetwork.zeros(d, h, k, n_layers)
     if len(body) != net.flat.nbytes:
@@ -91,4 +114,4 @@ def load_model(path) -> tuple[LstmNetwork, ModelMeta]:
     if not np.isfinite(net.flat).all():
         name = next(name for name, arr in net.param_items() if not np.isfinite(arr).all())
         fail("parameters", f"tensor {name!r} contains non-finite values")
-    return net, meta
+    return BaseLearner(net, epoch, loss, val_f1, source_path=str(path))

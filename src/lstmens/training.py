@@ -381,7 +381,8 @@ class GradCheckReport:
 
     @property
     def failures(self) -> list[str]:
-        return [n for n, e in self.max_rel_error.items() if e >= self.tolerance]
+        # `not e < tol` rather than `e >= tol`: a NaN error (or tolerance) fails
+        return [n for n, e in self.max_rel_error.items() if not e < self.tolerance]
 
     @property
     def ok(self) -> bool:

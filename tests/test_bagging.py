@@ -73,17 +73,17 @@ def test_schedule_degenerate_single_stream():
 
 
 def test_coverage_full_stream_zero_unused():
-    s = FrameSchedule(0, 1, np.array([0]), [100], 100)
+    s = FrameSchedule(1, np.array([0]), [100], 100)
     assert epoch_coverage(s, 100) == 0.0
 
 
 def test_coverage_half_stream():
-    s = FrameSchedule(0, 1, np.array([10]), [50], 50)
+    s = FrameSchedule(1, np.array([10]), [50], 50)
     assert epoch_coverage(s, 100) == 0.5
 
 
 def test_coverage_wraps_modulo():
-    s = FrameSchedule(0, 1, np.array([90]), [20], 20)
+    s = FrameSchedule(1, np.array([90]), [20], 20)
     assert epoch_coverage(s, 100) == pytest.approx(0.8)
 
 

@@ -188,6 +188,24 @@ def test_fuse_m_too_large_fails(dataset, tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("m", ["5", "0"])
+def test_fuse_m_outside_one_runs_snapshot_count_names_that_manifest(m, dataset, tmp_path, capsys):
+    manifests = []
+    for loss in ("ce", "f1"):
+        outdir = tmp_path / loss
+        args = ["train", "--data", str(dataset), "--outdir", str(outdir),
+                "--loss", loss] + TRAIN_SMALL
+        args[args.index("--max-epoch") + 1] = "3"
+        assert run_cli(args, capsys)[0] == 0
+        manifests.append(str(outdir / "manifest.csv"))
+    ens_path = tmp_path / "e.csv"
+    code, _, err = run_cli(["fuse", "--manifest", manifests[0], "--manifest", manifests[1],
+                            "--m", m, "--out", str(ens_path)], capsys)
+    assert code == 1
+    assert err.strip() == f"error: --m {m} outside [1, 3] for --manifest {manifests[0]}"
+    assert not ens_path.exists()
+
+
 def test_eval_perfect_predictions(tmp_path, capsys):
     path = tmp_path / "preds.csv"
     lines = ["t,pred,label,p_0,p_1"]
@@ -210,6 +228,14 @@ def test_gradcheck_passes(capsys):
     )
     assert code == 0
     assert "worst max_rel_error" in out
+
+
+def test_gradcheck_nan_tolerance_fails(capsys):
+    # no error is below a NaN tolerance, so every tensor fails
+    code, out, _ = run_cli(["gradcheck", "--seeds", "1", "--tolerance", "nan"], capsys)
+    assert code == 1
+    rows = [line for line in out.splitlines()[2:] if not line.startswith("#")]
+    assert rows and all(row.endswith(",0") for row in rows)
 
 
 def test_coverage_small(capsys):
@@ -275,6 +301,19 @@ def test_infer_channel_count_mismatch_names_both_files(dataset, tmp_path, capsys
                            capsys)
     assert code == 1
     assert err.strip() == (f"error: --data {one} has 1 channel(s), "
+                           f"--ensemble {ens_path} expects 3")
+    assert not preds.exists()
+
+
+def test_infer_norm_channel_count_mismatch_names_norm_and_ensemble(dataset, tmp_path, capsys):
+    _, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    norm = tmp_path / "two_channels.csv"
+    norm.write_text("channel,mean,std\nc0,0.0,1.0\nc1,0.0,1.0\n")
+    preds = tmp_path / "p.csv"
+    code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(dataset),
+                            "--norm", str(norm), "--out", str(preds)], capsys)
+    assert code == 1
+    assert err.strip() == (f"error: --norm {norm} has 2 channel(s), "
                            f"--ensemble {ens_path} expects 3")
     assert not preds.exists()
 

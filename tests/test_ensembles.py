@@ -345,3 +345,14 @@ def test_ensemble_manifest_in_old_column_order_loads_bitwise(tmp_path):
     for m in back.members:
         assert m.net.flat.tobytes() == saved[m.epoch].flat.tobytes()
         assert (m.loss, m.val_f1) == (LossKind.CE, 0.5 + 0.05 * m.epoch)
+
+
+def test_ensemble_manifest_listing_a_model_file_twice_is_rejected(tmp_path):
+    # the copied last row would fuse one snapshot at double weight
+    _, paths = _saved_manifests(tmp_path)
+    _edit_manifest(paths["ensemble"], lambda h, rows: (h, rows + rows[-1:]))
+    model = tmp_path / "run" / "learner_e3_CE.lstm"
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{paths['ensemble']}: {model}: "
+                                       "model file listed twice in the ensemble")):
+        load_ensemble(paths["ensemble"])

@@ -3,14 +3,18 @@ import re
 import numpy as np
 import pytest
 
-from lstmens import LstmNetwork, init_network
-from lstmens.modelio import ModelFormatError, ModelMeta, load_model, save_model
+from lstmens import LossKind, LstmNetwork, init_network
+from lstmens.modelio import BaseLearner, ModelFormatError, load_model, save_model
 from lstmens.rng import Rng
 
 
 def nets_equal(a, b):
     pairs = zip(a.param_items(), b.param_items())
     return all(na == nb and np.array_equal(ta, tb) for (na, ta), (nb, tb) in pairs)
+
+
+def snapshot(net, loss=LossKind.CE, epoch=0, val_f1=0.0):
+    return BaseLearner(net, epoch, loss, val_f1)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -20,24 +24,25 @@ def test_round_trip_bit_exact(tmp_path):
         net.layers[0].wxf *= 1e-7
         net.output.w *= 137.035999
         path = tmp_path / f"net{seed}.lstm"
-        save_model(net, path, ModelMeta("F1", 12, 0.8517392))
-        loaded, meta = load_model(path)
-        assert nets_equal(net, loaded)
-        assert meta.loss == "F1" and meta.epoch == 12 and meta.val_f1 == 0.8517392
+        save_model(snapshot(net, LossKind.F1, 12, 0.8517392), path)
+        loaded = load_model(path)
+        assert nets_equal(net, loaded.net)
+        assert (loaded.epoch, loaded.loss, loaded.val_f1) == (12, LossKind.F1, 0.8517392)
+        assert loaded.source_path == str(path)
 
 
 def test_save_rejects_a_stack_before_opening_the_file(tmp_path):
     stack = LstmNetwork.stack([init_network(2, 3, 2, num_layers=1, rng=Rng(s)) for s in (1, 2)])
     path = tmp_path / "stack.lstm"
     with pytest.raises(ValueError, match=re.escape(f"{path}: cannot save a stack of 2")):
-        save_model(stack, path)
+        save_model(snapshot(stack), path)
     assert not path.exists()
 
 
 def test_save_is_deterministic(tmp_path):
     net = init_network(3, 4, 2, num_layers=1, rng=Rng(7))
-    save_model(net, tmp_path / "a.lstm")
-    save_model(net, tmp_path / "b.lstm")
+    save_model(snapshot(net), tmp_path / "a.lstm")
+    save_model(snapshot(net), tmp_path / "b.lstm")
     assert (tmp_path / "a.lstm").read_bytes() == (tmp_path / "b.lstm").read_bytes()
 
 
@@ -49,7 +54,7 @@ def _header_len(path) -> int:
 def test_file_is_header_plus_raw_flat_vector(tmp_path):
     net = init_network(3, 5, 4, num_layers=2, rng=Rng(6))
     path = tmp_path / "net.lstm"
-    save_model(net, path, ModelMeta("CE", 3, 0.25))
+    save_model(snapshot(net, LossKind.CE, 3, 0.25), path)
     header = b"LSTMENS v2\n3 5 4 2 CE 3 0.25\n"
     assert path.read_bytes() == header + net.flat.astype("<f8").tobytes()
     assert path.stat().st_size == len(header) + 8 * net.flat.size
@@ -58,7 +63,7 @@ def test_file_is_header_plus_raw_flat_vector(tmp_path):
 def test_truncated_file_is_parse_error(tmp_path):
     net = init_network(3, 4, 2, num_layers=1, rng=Rng(1))
     path = tmp_path / "net.lstm"
-    save_model(net, path)
+    save_model(snapshot(net), path)
     path.write_bytes(path.read_bytes()[:-5])
     want, found = net.flat.nbytes, net.flat.nbytes - 5
     with pytest.raises(ModelFormatError,
@@ -69,7 +74,7 @@ def test_truncated_file_is_parse_error(tmp_path):
 def test_overlong_body_is_rejected(tmp_path):
     net = init_network(3, 4, 2, num_layers=1, rng=Rng(1))
     path = tmp_path / "net.lstm"
-    save_model(net, path)
+    save_model(snapshot(net), path)
     path.write_bytes(path.read_bytes() + bytes(8))
     want = net.flat.nbytes
     with pytest.raises(ModelFormatError, match=rf"expected {want} bytes, found {want + 8}"):
@@ -79,7 +84,7 @@ def test_overlong_body_is_rejected(tmp_path):
 def test_version_mismatch_is_explicit(tmp_path):
     net = init_network(2, 3, 2, num_layers=1, rng=Rng(2))
     path = tmp_path / "net.lstm"
-    save_model(net, path)
+    save_model(snapshot(net), path)
     saved = path.read_bytes()
     for version, message in (("v1", "model format v1 is retired"),
                              ("v9", "incompatible format version 'v9'")):
@@ -98,7 +103,7 @@ def test_wrong_tag_rejected(tmp_path):
 def test_malformed_values_report_line(tmp_path):
     net = init_network(2, 3, 2, num_layers=1, rng=Rng(3))
     path = tmp_path / "net.lstm"
-    save_model(net, path)
+    save_model(snapshot(net), path)
     saved = path.read_bytes()
     nan = np.array([np.nan], dtype="<f8").tobytes()
     # l0.wxf is the first H columns of l0.wx, so its entry (1, 2) is flat[1 * 4H + 2];
@@ -122,16 +127,33 @@ def _with_header_field(path, index, value):
 
 def test_unknown_loss_kind_rejected_on_line_2(tmp_path):
     path = tmp_path / "net.lstm"
-    save_model(init_network(2, 3, 2, num_layers=1, rng=Rng(4)), path, ModelMeta("CE", 1, 0.5))
+    save_model(snapshot(init_network(2, 3, 2, num_layers=1, rng=Rng(4)), LossKind.CE, 1, 0.5),
+               path)
     _with_header_field(path, 4, "MSE")
-    with pytest.raises(ModelFormatError, match=r"net\.lstm line 2: unknown loss kind 'MSE'"):
+    with pytest.raises(ModelFormatError,
+                       match=r"net\.lstm line 2: unknown loss 'MSE', expected one of CE, F1"):
         load_model(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_val_f1_rejected_on_line_2(tmp_path, value):
     path = tmp_path / "net.lstm"
-    save_model(init_network(2, 3, 2, num_layers=1, rng=Rng(5)), path, ModelMeta("F1", 1, 0.5))
+    save_model(snapshot(init_network(2, 3, 2, num_layers=1, rng=Rng(5)), LossKind.F1, 1, 0.5),
+               path)
     _with_header_field(path, 6, value)
-    with pytest.raises(ModelFormatError, match=r"net\.lstm line 2: non-finite val_f1"):
+    with pytest.raises(ModelFormatError,
+                       match=rf"net\.lstm line 2: val_f1 '{value}' is not a finite number"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("index,value,message", [
+    (5, "2.5", r"epoch '2\.5' is not an integer"),
+    (6, "high", r"val_f1 'high' is not a finite number"),
+])
+def test_malformed_snapshot_field_is_named_on_line_2(tmp_path, index, value, message):
+    path = tmp_path / "net.lstm"
+    save_model(snapshot(init_network(2, 3, 2, num_layers=1, rng=Rng(6)), LossKind.CE, 2, 0.5),
+               path)
+    _with_header_field(path, index, value)
+    with pytest.raises(ModelFormatError, match=rf"net\.lstm line 2: {message}$"):
         load_model(path)

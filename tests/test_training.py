@@ -10,6 +10,7 @@ from lstmens.rng import Rng
 from lstmens.training import (
     AdamState,
     FrameBatch,
+    GradCheckReport,
     LossKind,
     _ce_grad,
     _f1_grad,
@@ -139,6 +140,13 @@ def test_grad_check_detects_sign_flip():
     numeric = finite_difference_grads(net, frame, LossKind.CE)
     errors = relative_errors(corrupted, numeric)
     assert errors["l0.wxi"] > 1e-4
+
+
+def test_grad_check_report_fails_a_nan_error():
+    # relative_errors gives NaN where an analytic gradient is inf or NaN
+    report = GradCheckReport({"l0.wxi": 1e-9, "l0.wxf": float("nan")}, tolerance=1e-4)
+    assert report.failures == ["l0.wxf"] and not report.ok
+    assert not GradCheckReport({"l0.wxi": 1e-9}, tolerance=float("nan")).ok
 
 
 def test_states_carry_across_frames():
