@@ -98,7 +98,7 @@ def main() -> int:
         joined = "  ".join(f"{name}={f1:.4f}" for name, f1 in result.items())
         print(f"trial {i} (seed {seed}): {joined}", flush=True)
 
-    sets = {name: TrialSet(name, scores, args.base_seed) for name, scores in per_model.items()}
+    sets = {name: TrialSet(name, scores) for name, scores in per_model.items()}
     baseline = sets["single CE"]
     print(f"\n{args.trials} trials, {time.time() - t0:.0f}s total")
     print("model,mean_f1,std,t_vs_single_CE,p,stars")

@@ -21,6 +21,8 @@ from .network import init_network
 from .rng import Rng
 from .training import LossKind, grad_check, random_check_frame
 
+NORM_NAME = "norm_stats.csv"  # the normalizer file train writes into its run directory
+
 
 def _cfg_hash(args: argparse.Namespace) -> str:
     payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
@@ -57,24 +59,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_splits(args):
-    schema = data.CsvSchema(num_classes=args.k, label_col=args.label_col)
-    seq = data.load_csv(args.data, schema)
-    fractions = tuple(float(f) for f in args.split.split(","))
-    ranges = data.fraction_ranges(seq.num_samples, fractions)
-    train, val, test = data.holdout_split(seq, *ranges)
-    stats = data.fit_normalizer(train)
-    return (
-        data.apply_normalizer(stats, train),
-        data.apply_normalizer(stats, val),
-        data.apply_normalizer(stats, test),
-        stats,
-    )
-
-
 def cmd_train(args) -> int:
     _echo_header(args)
-    train, val, _, stats = _load_splits(args)
+    seq = data.load_csv(args.data, data.CsvSchema(num_classes=args.k, label_col=args.label_col))
+    fractions = tuple(float(f) for f in args.split.split(","))
+    train, val, _ = data.holdout_split(seq, *data.fraction_ranges(seq.num_samples, fractions))
+    stats = data.fit_normalizer(train)
+    train, val = data.apply_normalizer(stats, train), data.apply_normalizer(stats, val)
     cfg = bagging.BaggingConfig(
         b_low=args.b_low,
         b_high=args.b_high,
@@ -86,8 +77,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     os.makedirs(args.outdir, exist_ok=True)
-    data.save_norm_stats(stats, os.path.join(args.outdir, "norm_stats.csv"),
-                         train.channel_names)
+    data.save_norm_stats(stats, os.path.join(args.outdir, NORM_NAME), train.channel_names)
     print("epoch,train_loss,val_f1")
 
     def on_epoch(epoch, train_loss, val_f1):
@@ -124,12 +114,18 @@ def cmd_infer(args) -> int:
     d, k = ens.members[0].net.input_dim, ens.members[0].net.num_classes
     schema = data.CsvSchema(num_classes=k, label_col=args.label_col)
     seq = data.load_csv(args.data, schema)
-    stats = data.load_norm_stats(args.norm)
-    for flag, path, n in (("--data", args.data, seq.num_channels),
-                          ("--norm", args.norm, len(stats.mean))):
+    # train wrote each member's normalizer into the member's run directory
+    norms = dict.fromkeys(os.path.join(os.path.dirname(m.source_path), NORM_NAME)
+                          for m in ens.members)
+    (first, stats), *others = [(path, data.load_norm_stats(path)) for path in norms]
+    bits = (stats.mean.tobytes(), stats.std.tobytes())
+    for path, other in others:
+        if (other.mean.tobytes(), other.std.tobytes()) != bits:
+            raise ValueError(f"{path} differs from {first}: "
+                             f"the ensemble's runs were normalized differently")
+    for what, n in ((f"--data {args.data}", seq.num_channels), (first, len(stats.mean))):
         if n != d:
-            raise ValueError(f"{flag} {path} has {n} channel(s), "
-                             f"--ensemble {args.ensemble} expects {d}")
+            raise ValueError(f"{what} has {n} channel(s), --ensemble {args.ensemble} expects {d}")
     seq = data.apply_normalizer(stats, seq)
     probs, preds = ensembles.ensemble_infer(ens, seq.X.T)
     header = ["t", "pred", "label"] + [f"p_{i}" for i in range(k)]
@@ -275,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True, help="ensemble manifest")
     p.add_argument("--data", required=True)
     p.add_argument("--label-col", type=int, default=0)
-    p.add_argument("--norm", required=True,
-                   help="normalizer stats CSV that train fitted on the training split")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_infer)
 

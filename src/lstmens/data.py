@@ -179,9 +179,9 @@ def _is_number(cell: str) -> bool:
 def load_csv(path, schema: CsvSchema) -> LabeledSequence:
     """Parse a dataset CSV. Header row is optional and detected by content.
 
-    Labels must be integers in [0, K). Literal NaN cells in feature columns
-    are linearly interpolated per channel; interpolation counts are logged.
-    Every error names the path and the file line.
+    Labels must be integers in [0, K) and values finite. Literal NaN cells in
+    feature columns are linearly interpolated per channel; interpolation
+    counts are logged. Every error names the path and the file line.
     """
     rows = read_csv(path)
     (first, head), width = rows[0], len(rows[0][1])
@@ -213,6 +213,12 @@ def load_csv(path, schema: CsvSchema) -> LabeledSequence:
         problem = (f"label {int(labels[t])} outside [0, {schema.num_classes})" if integral[t]
                    else f"label {cells[schema.label_col]!r} is not an integer")
         raise ValueError(f"{path} line {lineno}: {problem}")
+    inf = np.isinf(table)  # the labels are finite by now
+    if inf.any():
+        t, col = divmod(int(inf.argmax()), width)
+        lineno, cells = rows[t]
+        raise ValueError(f"{path} line {lineno}: value {cells[col]!r} in column {col} "
+                         f"is not finite")
     del rows  # the cell strings hold most of the memory load_csv takes
 
     # X is (D, T) and C-contiguous; the NaN runs are interpolated in place

@@ -90,12 +90,9 @@ def ensemble_infer(ensemble: Ensemble, xs) -> tuple[np.ndarray, np.ndarray]:
         groups.setdefault(net.shape, []).append(j)
     parts = [(idx, infer_stream(LstmNetwork.stack([nets[j] for j in idx]), xs))
              for idx in groups.values()]
-    if len(parts) == 1:
-        member_probs = parts[0][1]
-    else:
-        member_probs = np.empty((len(nets), *parts[0][1].shape[1:]))
-        for idx, probs in parts:
-            member_probs[idx] = probs
+    member_probs = np.empty((len(nets), *parts[0][1].shape[1:]))
+    for idx, probs in parts:
+        member_probs[idx] = probs
     fused = anchored_mean(member_probs, axis=0)
     labels = fused.argmax(axis=1).astype(np.int64)
     return fused, labels

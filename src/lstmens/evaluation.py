@@ -62,7 +62,6 @@ class TrialSet:
 
     name: str
     scores: np.ndarray
-    base_seed: int | None = None
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)

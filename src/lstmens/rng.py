@@ -42,7 +42,6 @@ class Rng:
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
-        self.seed = self._state
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64

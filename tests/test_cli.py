@@ -1,11 +1,15 @@
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lstmens.bagging import load_learners
-from lstmens.cli import main
+from lstmens.cli import build_parser, main
+from lstmens.data import load_norm_stats, save_norm_stats
 from lstmens.ensembles import load_ensemble, select_top_m
 from lstmens.evaluation import confusion, mean_f1
 from lstmens.network import LstmNetwork
@@ -56,9 +60,8 @@ def test_missing_required_flag_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["infer", "--ensemble", "e.csv", "--data", "d.csv", "--out", "p.csv"], "--norm"),
     (["fuse", "--m", "1", "--out", "e.csv"], "--manifest"),
-], ids=["infer without --norm", "fuse without --manifest"])
+], ids=["fuse without --manifest"])
 def test_flag_without_default_is_required(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -66,10 +69,36 @@ def test_flag_without_default_is_required(argv, flag, capsys):
     assert f"required: {flag}" in capsys.readouterr().err
 
 
+def test_infer_takes_no_norm_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["infer", "--ensemble", "e.csv", "--data", "d.csv", "--norm", "n.csv",
+              "--out", "p.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --norm n.csv" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _readme_commands():
+    """The argument lists of the `lstmens ...` lines in README.md's fenced
+    blocks, with `\\` continuations joined and `#` comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["lstmens"]:
+                commands.append(words[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_train_fuse_infer_eval_pipeline(dataset, tmp_path, capsys):
@@ -97,8 +126,7 @@ def test_train_fuse_infer_eval_pipeline(dataset, tmp_path, capsys):
 
     preds = tmp_path / "preds.csv"
     code, _, _ = run_cli(
-        ["infer", "--ensemble", str(ens_path), "--data", str(dataset),
-         "--norm", str(outdir / "norm_stats.csv"), "--out", str(preds)],
+        ["infer", "--ensemble", str(ens_path), "--data", str(dataset), "--out", str(preds)],
         capsys,
     )
     assert code == 0
@@ -149,6 +177,12 @@ def test_fuse_mixed(dataset, tmp_path, capsys):
     expected = [m for path in manifests for m in select_top_m(load_learners(path), 2).members]
     assert ([(m.loss, m.epoch, m.source_path) for m in load_ensemble(ens_path).members]
             == [(m.loss, m.epoch, m.source_path) for m in expected])
+    # both runs normalized the same training split, so infer takes either's stats
+    preds = tmp_path / "preds.csv"
+    code, out, _ = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(dataset),
+                            "--out", str(preds)], capsys)
+    assert code == 0
+    assert f"# wrote {preds} (1500 predictions)" in out
 
 
 def test_fuse_same_manifest_twice_is_an_error(dataset, tmp_path, capsys):
@@ -282,11 +316,11 @@ def test_truncated_model_file_fails_fuse_naming_it(dataset, tmp_path, capsys):
 
 
 def test_infer_norm_file_without_mean_column_is_an_error(dataset, tmp_path, capsys):
-    _, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
-    norm = tmp_path / "stats.csv"
+    outdir, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    norm = outdir / "norm_stats.csv"
     norm.write_text("channel,avg,std\nc0,0.0,1.0\nc1,0.0,1.0\nc2,0.0,1.0\n")
     code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(dataset),
-                            "--norm", str(norm), "--out", str(tmp_path / "p.csv")], capsys)
+                            "--out", str(tmp_path / "p.csv")], capsys)
     assert code == 1
     assert err.strip() == f"error: {norm} line 1: missing column 'mean'"
 
@@ -297,8 +331,7 @@ def test_infer_channel_count_mismatch_names_both_files(dataset, tmp_path, capsys
     one.write_text("label,a\n0,0.5\n1,0.25\n")
     preds = tmp_path / "p.csv"
     code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(one),
-                            "--norm", str(outdir / "norm_stats.csv"), "--out", str(preds)],
-                           capsys)
+                            "--out", str(preds)], capsys)
     assert code == 1
     assert err.strip() == (f"error: --data {one} has 1 channel(s), "
                            f"--ensemble {ens_path} expects 3")
@@ -306,15 +339,60 @@ def test_infer_channel_count_mismatch_names_both_files(dataset, tmp_path, capsys
 
 
 def test_infer_norm_channel_count_mismatch_names_norm_and_ensemble(dataset, tmp_path, capsys):
-    _, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
-    norm = tmp_path / "two_channels.csv"
+    outdir, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    norm = outdir / "norm_stats.csv"
     norm.write_text("channel,mean,std\nc0,0.0,1.0\nc1,0.0,1.0\n")
     preds = tmp_path / "p.csv"
     code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(dataset),
-                            "--norm", str(norm), "--out", str(preds)], capsys)
+                            "--out", str(preds)], capsys)
     assert code == 1
-    assert err.strip() == (f"error: --norm {norm} has 2 channel(s), "
-                           f"--ensemble {ens_path} expects 3")
+    assert err.strip() == f"error: {norm} has 2 channel(s), --ensemble {ens_path} expects 3"
+    assert not preds.exists()
+
+
+def test_infer_run_without_norm_stats_names_the_missing_file(dataset, tmp_path, capsys):
+    outdir, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    norm = outdir / "norm_stats.csv"
+    norm.unlink()
+    preds = tmp_path / "p.csv"
+    code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(dataset),
+                            "--out", str(preds)], capsys)
+    assert code == 1
+    assert err.strip() == f"error: [Errno 2] No such file or directory: '{norm}'"
+    assert not preds.exists()
+
+
+@pytest.mark.parametrize("change", ["other data", "mean", "std"])
+def test_infer_ensemble_of_differently_normalized_runs_is_an_error(change, dataset, tmp_path,
+                                                                   capsys):
+    """Run b trains on other data, or on the same data with one bit of the
+    last channel's mean or std flipped in its norm_stats.csv afterwards."""
+    other = dataset
+    if change == "other data":
+        other = tmp_path / "other.csv"
+        synth = SYNTH + ["--out", str(other)]
+        synth[synth.index("--seed") + 1] = "8"
+        assert run_cli(synth, capsys)[0] == 0
+    norms = []
+    for name, path in (("a", dataset), ("b", other)):
+        outdir = tmp_path / name
+        assert run_cli(["train", "--data", str(path), "--outdir", str(outdir)] + TRAIN_SMALL,
+                       capsys)[0] == 0
+        norms.append(outdir / "norm_stats.csv")
+    if change != "other data":
+        stats = load_norm_stats(norms[1])
+        values = getattr(stats, change)
+        values[-1] = np.nextafter(values[-1], np.inf)
+        save_norm_stats(stats, norms[1], ["ch0", "ch1", "ch2"])
+    ens_path, preds = tmp_path / "ens.csv", tmp_path / "p.csv"
+    assert run_cli(["fuse", "--manifest", str(tmp_path / "a" / "manifest.csv"),
+                    "--manifest", str(tmp_path / "b" / "manifest.csv"), "--m", "1",
+                    "--out", str(ens_path)], capsys)[0] == 0
+    code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(dataset),
+                            "--out", str(preds)], capsys)
+    assert code == 1
+    assert err.strip() == (f"error: {norms[1]} differs from {norms[0]}: "
+                           f"the ensemble's runs were normalized differently")
     assert not preds.exists()
 
 
@@ -331,8 +409,7 @@ def test_eval_takes_k_from_the_p_columns(tmp_path, capsys):
     assert run_cli(["fuse", "--manifest", str(tmp_path / "run" / "manifest.csv"), "--m", "1",
                     "--out", str(ens_path)], capsys)[0] == 0
     assert run_cli(["infer", "--ensemble", str(ens_path), "--data", str(data_path),
-                    "--norm", str(tmp_path / "run" / "norm_stats.csv"), "--out", str(preds)],
-                   capsys)[0] == 0
+                    "--out", str(preds)], capsys)[0] == 0
     header, *rows = preds.read_text().splitlines()
     assert header.endswith(",p_0,p_1,p_2,p_3")
     rows = [r for r in rows if "3" not in r.split(",")[1:3]]  # drop class 3

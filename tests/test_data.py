@@ -77,6 +77,18 @@ def test_load_csv_unparseable_row_reports_number(tmp_path):
         load_csv(path, CsvSchema(num_classes=1))
 
 
+@pytest.mark.parametrize("row,problem", [
+    ("1,3.0,inf", "value 'inf' in column 2 is not finite"),
+    ("1,-inf,3.0", "value '-inf' in column 1 is not finite"),
+    ("1,3.0,1e999", "value '1e999' in column 2 is not finite"),
+    ("inf,3.0,inf", "label 'inf' is not an integer"),  # the label is checked first
+], ids=["inf", "-inf", "1e999", "inf label"])
+def test_load_csv_infinite_cell_names_line_and_column(tmp_path, row, problem):
+    path = write(tmp_path, f"0,1.0,2.0\n# note\n{row}\n0,NaN,2.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} line 3: {problem}$"):
+        load_csv(path, CsvSchema(num_classes=2))
+
+
 def test_load_csv_ragged_row_reports_number(tmp_path):
     path = write(tmp_path, "0,1.0,2.0\n0,1.0\n")
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))} line 2: "):
