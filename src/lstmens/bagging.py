@@ -18,6 +18,13 @@ wraps around instead of failing.
 One continuous model is trained across all epochs (optimizer moments
 persist); the per-epoch parameter snapshots, each scored on a held-out
 validation stream, are what the ensemble layer aggregates.
+
+Snapshots are scored a window at a time. run_bagging trains G epochs,
+copying each epoch's parameters into row g of one (G, P) window buffer,
+then validates the whole window in one stacked pass over the validation
+stream (one kernel step per sample for all G snapshots, each bit-identical
+to scoring that snapshot alone). G is as many snapshots as fit in
+WINDOW_BYTES, at least one; every epoch's snapshot keeps viewing its row.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ from .modelio import BaseLearner, load_model, save_model, snapshot_fields
 from .network import LstmNetwork, infer_stream, init_network
 from .rng import Rng
 from .training import AdamState, FrameBatch, LossKind, adam_update, bptt_frame
+
+# parameter bytes of the snapshots trained before their window is validated:
+# 642 snapshots of a 2x32 network, 10 of a 2x256 one
+WINDOW_BYTES = 64 << 20
 
 
 @dataclass
@@ -141,11 +152,18 @@ def train_epoch(net: LstmNetwork, data: LabeledSequence, schedule: FrameSchedule
     return net, opt, float(np.mean(losses))
 
 
-def validation_f1(net: LstmNetwork, val: LabeledSequence) -> float:
-    """Sample-wise mean F1 of the network on a validation stream."""
+def validation_f1(net: LstmNetwork, val: LabeledSequence) -> float | list[float]:
+    """Sample-wise mean F1 of the network on a validation stream.
+
+    For a stacked network (M snapshots in one (M, P) `flat`) the members
+    stream in lockstep through one `infer_stream` pass, and the result is
+    the list of M scores, each equal to the float that scoring that
+    snapshot alone returns.
+    """
     probs = infer_stream(net, val.X.T)
-    preds = probs.argmax(axis=1)
-    return mean_f1(confusion(preds, val.z, val.num_classes))
+    scores = [mean_f1(confusion(preds, val.z, val.num_classes))
+              for preds in probs.argmax(axis=-1).reshape(-1, val.num_samples)]
+    return scores if probs.ndim == 3 else scores[0]
 
 
 def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
@@ -154,24 +172,35 @@ def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
     """Full bagged training run: one BaseLearner snapshot per epoch.
 
     A single network is trained continuously (ADAM moments persist across
-    epochs); after every epoch its parameters are snapshotted and scored by
-    sample-wise mean F1 on the validation stream. All randomness comes from
-    Rng(cfg.seed). on_epoch, if given, is called as on_epoch(epoch,
-    train_loss, val_f1) after each epoch.
+    epochs); after every epoch its parameters are copied into the current
+    window buffer, and once the window's G epochs (WINDOW_BYTES worth of
+    snapshots, fewer in the last window) are trained, one stacked
+    validation_f1 pass scores them all by sample-wise mean F1. All
+    randomness comes from Rng(cfg.seed); validation draws none. on_epoch,
+    if given, is called as on_epoch(epoch, train_loss, val_f1) for every
+    epoch in order, each window's calls coming after that window's pass.
     """
     if val.num_samples < 1:
         raise ValueError("validation stream is empty")
     rng = Rng(cfg.seed)
     net = init_network(data.num_channels, hidden_dim, data.num_classes, num_layers, rng)
     opt = AdamState(learning_rate=learning_rate)
+    window = max(1, WINDOW_BYTES // net.flat.nbytes)
     learners = []
-    for epoch in range(1, cfg.max_epoch + 1):
-        schedule = make_schedule(data.num_samples, cfg, rng)
-        _, _, train_loss = train_epoch(net, data, schedule, cfg, opt, rng)
-        val_f1 = validation_f1(net, val)
-        learners.append(BaseLearner(net.copy(), epoch, cfg.loss, val_f1))
-        if on_epoch is not None:
-            on_epoch(epoch, train_loss, val_f1)
+    for first in range(1, cfg.max_epoch + 1, window):
+        epochs = range(first, min(first + window, cfg.max_epoch + 1))
+        buffer = np.empty((len(epochs), net.flat.size))
+        losses = []
+        for row in buffer:
+            schedule = make_schedule(data.num_samples, cfg, rng)
+            _, _, train_loss = train_epoch(net, data, schedule, cfg, opt, rng)
+            row[...] = net.flat
+            losses.append(train_loss)
+        scores = validation_f1(LstmNetwork(buffer, net.shape), val)
+        for row, epoch, train_loss, val_f1 in zip(buffer, epochs, losses, scores):
+            learners.append(BaseLearner(net.with_flat(row), epoch, cfg.loss, val_f1))
+            if on_epoch is not None:
+                on_epoch(epoch, train_loss, val_f1)
     return learners
 
 

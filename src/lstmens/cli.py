@@ -118,14 +118,18 @@ def cmd_infer(args) -> int:
     norms = dict.fromkeys(os.path.join(os.path.dirname(m.source_path), NORM_NAME)
                           for m in ens.members)
     (first, stats), *others = [(path, data.load_norm_stats(path)) for path in norms]
-    bits = (stats.mean.tobytes(), stats.std.tobytes())
+    bits = (stats.mean.tobytes(), stats.std.tobytes(), stats.channels)
     for path, other in others:
-        if (other.mean.tobytes(), other.std.tobytes()) != bits:
+        if (other.mean.tobytes(), other.std.tobytes(), other.channels) != bits:
             raise ValueError(f"{path} differs from {first}: "
                              f"the ensemble's runs were normalized differently")
     for what, n in ((f"--data {args.data}", seq.num_channels), (first, len(stats.mean))):
         if n != d:
             raise ValueError(f"{what} has {n} channel(s), --ensemble {args.ensemble} expects {d}")
+    # a header-less data file's channels are named ch0, ch1, ... by position
+    if seq.channel_names != stats.channels:
+        raise ValueError(f"--data {args.data} has channels {','.join(seq.channel_names)}, "
+                         f"{first} has {','.join(stats.channels)}")
     seq = data.apply_normalizer(stats, seq)
     probs, preds = ensembles.ensemble_infer(ens, seq.X.T)
     header = ["t", "pred", "label"] + [f"p_{i}" for i in range(k)]

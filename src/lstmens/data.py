@@ -124,10 +124,12 @@ def read_csv_columns(path, columns, convert):
 
     Returns (header, rows, values): header is the (file line, cells) pair of
     the header row, rows holds (file line, row dict) per data row and
-    values[j] the converted cells of columns[j]. A header without one of the
+    values[j] the converted cells of columns[j]; convert is one callable for
+    every column or a tuple of one per column. A header without one of the
     columns, with one of them twice or without rows after it, or a cell that
     convert rejects, is a ValueError naming the path and the file line.
     """
+    converts = convert if isinstance(convert, tuple) else (convert,) * len(columns)
     (header_no, header), *records = read_csv(path)
     for name in columns:
         if header.count(name) != 1:
@@ -139,12 +141,12 @@ def read_csv_columns(path, columns, convert):
     for lineno, cells in records:
         row = dict(zip(header, cells))
         rows.append((lineno, row))
-        for name, column in zip(columns, values):
+        for name, fn, column in zip(columns, converts, values):
             try:
-                column.append(convert(row[name]))
+                column.append(fn(row[name]))
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: {name} {row[name]!r} "
-                                 f"is not a valid {convert.__name__}") from None
+                                 f"is not a valid {fn.__name__}") from None
     return (header_no, header), rows, values
 
 
@@ -247,6 +249,7 @@ def save_csv(seq: LabeledSequence, path) -> None:
 class NormStats:
     mean: np.ndarray  # (D,)
     std: np.ndarray  # (D,)
+    channels: list[str] | None = None  # the names a norm_stats file records
 
 
 def fit_normalizer(train: LabeledSequence) -> NormStats:
@@ -290,20 +293,21 @@ def save_norm_stats(stats: NormStats, path, names: list[str]) -> None:
 
 
 def load_norm_stats(path) -> NormStats:
-    """Read a save_norm_stats file; every mean must be finite and every std
-    finite and positive, or normalized data would turn non-finite."""
-    _, rows, (mean, std) = read_csv_columns(path, ("mean", "std"), float)
+    """Read a save_norm_stats file, channel names included; every mean must
+    be finite and every std finite and positive, or normalized data would
+    turn non-finite."""
+    _, rows, (channels, mean, std) = read_csv_columns(
+        path, ("channel", "mean", "std"), (str, float, float))
     mean, std = np.array(mean), np.array(std)
     bad = ~(np.isfinite(mean) & np.isfinite(std) & (std > 0.0))
     if bad.any():
         i = int(bad.argmax())
-        lineno, row = rows[i]
         raise ValueError(
-            f"{path} line {lineno} (channel {row.get('channel')!r}): "
+            f"{path} line {rows[i][0]} (channel {channels[i]!r}): "
             f"mean {mean[i]!r}, std {std[i]!r}; need a finite mean and a "
             f"finite, positive std"
         )
-    return NormStats(mean, std)
+    return NormStats(mean, std, channels)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ column views of the fused tensors: initialisation, the gradient oracle and
 model-file error messages address parameters by them.
 
 Every network is built one way: `LstmNetwork(flat, shape)` binds the views
-over a given buffer, and `zeros`, `with_flat`, `copy` and `stack` only
-choose that buffer. `LstmNetwork.stack` puts M same-shape networks into one
+over a given buffer, and `zeros`, `with_flat` and `stack` only choose that
+buffer. `LstmNetwork.stack` puts M same-shape networks into one
 whose `flat` is an (M, P) array: every tensor gains a leading member axis
 (wx (M, D_in, 4H), wh (M, H, 4H), b (M, 1, 4H); head w (M, H, K), b (M, 1,
-K)), and the shape properties read the trailing axes.
+K)), and the shape properties read the trailing axes. `LstmNetwork(buf,
+shape)` over an (M, P) buffer binds the same stacked views without a copy.
 
 The recurrent state is always an `LstmState`, per-layer lists of h and c
 arrays: (H,) for one streamed sample (`step`), (B, H) for B training
@@ -206,9 +207,6 @@ class LstmNetwork:
                 yield f"l{idx}.{name}", arr
         yield "out.w", self.output.w
         yield "out.b", self.output.b
-
-    def copy(self) -> "LstmNetwork":
-        return self.with_flat(self.flat.copy())
 
     def zero_state(self, batch: int | None = None) -> LstmState:
         """Fresh all-zero state: (H,) arrays, or (batch, H) when batched; a

@@ -11,9 +11,11 @@ from lstmens import (
     run_bagging,
     synth_har,
     train_epoch,
+    validation_f1,
 )
+from lstmens import bagging
 from lstmens.bagging import FrameSchedule, load_learners, save_learners
-from lstmens.network import init_network
+from lstmens.network import LstmNetwork, init_network
 from lstmens.rng import Rng
 
 
@@ -165,6 +167,58 @@ def test_run_bagging_deterministic():
     for la, lb in zip(a, b):
         for (_, ta), (_, tb) in zip(la.net.param_items(), lb.net.param_items()):
             assert np.array_equal(ta, tb)
+
+
+def _window_run(monkeypatch, data, cfg, per_window):
+    """run_bagging with windows of per_window snapshots. Returns the
+    snapshots' flat bytes, their val_f1 bits and the on_epoch calls, then
+    the size of each validation pass and the number of passes made before
+    each on_epoch call."""
+    nbytes = LstmNetwork.zeros(3, 5, 2, 2).flat.nbytes
+    monkeypatch.setattr(bagging, "WINDOW_BYTES", per_window * nbytes)
+    passes, calls, seen = [], [], []
+
+    def counted(net, val):
+        passes.append(net.flat.shape[0])
+        return validation_f1(net, val)
+
+    def on_epoch(*args):
+        calls.append(args)
+        seen.append(len(passes))
+
+    monkeypatch.setattr(bagging, "validation_f1", counted)
+    learners = run_bagging(data.slice(0, 1100), data.slice(1100, 1400), cfg, hidden_dim=5,
+                           on_epoch=on_epoch)
+    run = ([lr.net.flat.tobytes() for lr in learners],
+           np.array([lr.val_f1 for lr in learners]).tobytes(), calls)
+    return run, passes, seen
+
+
+@pytest.mark.parametrize("per_window", [1, 3])
+def test_windows_of_snapshots_match_one_window(monkeypatch, per_window):
+    # 7 epochs in windows of 3 leave a last window of 1
+    data = _toy_data(t=1400)
+    cfg = BaggingConfig(**SMALL_CFG, max_epoch=7, seed=12)
+    whole, passes, _ = _window_run(monkeypatch, data, cfg, cfg.max_epoch)
+    assert passes == [7]
+    windowed, passes, seen = _window_run(monkeypatch, data, cfg, per_window)
+    assert windowed == whole
+    assert passes == {1: [1] * 7, 3: [3, 3, 1]}[per_window]
+    # each window's on_epoch calls come after that window's one pass
+    assert seen == [1 + (epoch - 1) // per_window for epoch in range(1, 8)]
+
+
+def test_stacked_validation_f1_equals_each_snapshot_alone():
+    data = _toy_data(t=1400)
+    val = data.slice(1100, 1400)
+    cfg = BaggingConfig(**SMALL_CFG, max_epoch=4, seed=13)
+    learners = run_bagging(data.slice(0, 1100), val, cfg, hidden_dim=5)
+    alone = [validation_f1(lr.net, val) for lr in learners]
+    stacked = validation_f1(LstmNetwork.stack([lr.net for lr in learners]), val)
+    assert all(type(v) is float for v in alone + stacked)
+    assert np.array(stacked).tobytes() == np.array(alone).tobytes()
+    assert stacked == [lr.val_f1 for lr in learners]
+    assert len(set(alone)) > 1  # distinct snapshots, so the order is checked too
 
 
 def test_save_load_learners_round_trip(tmp_path):

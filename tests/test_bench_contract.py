@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lstmens import BaseLearner, Ensemble, ensembles, infer_stream, init_network
+from lstmens import (BaseLearner, Ensemble, LabeledSequence, LstmNetwork, bagging, ensembles,
+                     infer_stream, init_network)
 from lstmens.rng import Rng
 from lstmens.training import LossKind, bptt_frame, random_check_frame
 
@@ -95,6 +96,26 @@ def test_ensemble_infer_is_one_kernel_step_per_sample(tracer_module):
     names = [span[0] for span in tracer.spans]
     assert names.count("ensembles.ensemble_infer") == 1
     assert names.count("network.infer_stream") == 1
+
+
+def test_window_validation_is_one_kernel_step_per_sample(tracer_module):
+    # a window of G snapshots is scored in one stacked pass: T samples are T
+    # step_batch calls, not G*T, inside one `bagging.validation_f1` span
+    rng = Rng(4)
+    nets = [init_network(3, 4, 2, num_layers=2, rng=rng) for _ in range(5)]
+    val = LabeledSequence(rng.normal_block(3 * 7).reshape(3, 7), [0, 1, 1, 0, 1, 0, 0], 2)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        scores = bagging.validation_f1(LstmNetwork.stack(nets), val)  # the patched name
+    finally:
+        tracer.restore()
+    assert len(scores) == 5
+    assert tracer.counts["network.step_batch"] == 7
+    names = [span[0] for span in tracer.spans]
+    assert names.count("bagging.validation_f1") == 1
+    assert tracer.count_under("network.infer_stream", "bagging.validation_f1") == 1
+    assert tracer.count_under("evaluation.confusion", "bagging.validation_f1") == 5
 
 
 def test_stream_workload_has_no_failed_check(perfbench_import, tmp_path):

@@ -362,12 +362,71 @@ def test_infer_run_without_norm_stats_names_the_missing_file(dataset, tmp_path, 
     assert not preds.exists()
 
 
-@pytest.mark.parametrize("change", ["other data", "mean", "std"])
+def _data_rows(dataset):
+    """The data rows of a CSV file with a header row, as lists of cells."""
+    return [line.split(",") for line in dataset.read_text().splitlines()[1:]]
+
+
+def _write_rows(path, header, rows):
+    path.write_text("".join(line + "\n" for line in [header] * bool(header)
+                            + [",".join(row) for row in rows]))
+    return path
+
+
+@pytest.mark.parametrize("header,order", [
+    ("label,ch2,ch1,ch0", [0, 3, 2, 1]),
+    ("label,ax,ay,az", [0, 1, 2, 3]),
+], ids=["permuted", "renamed"])
+def test_infer_data_channel_names_must_match_norm_stats(header, order, dataset, tmp_path,
+                                                        capsys):
+    outdir, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    moved = _write_rows(tmp_path / "moved.csv", header,
+                        [[row[j] for j in order] for row in _data_rows(dataset)])
+    preds = tmp_path / "p.csv"
+    code, _, err = run_cli(["infer", "--ensemble", str(ens_path), "--data", str(moved),
+                            "--out", str(preds)], capsys)
+    assert code == 1
+    assert err.strip() == (f"error: --data {moved} has channels {header[len('label,'):]}, "
+                           f"{outdir / 'norm_stats.csv'} has ch0,ch1,ch2")
+    assert not preds.exists()
+
+
+def test_infer_header_less_data_is_named_by_position(dataset, tmp_path, capsys):
+    """A data file without a header row has the channels ch0, ch1, ...: it
+    infers like the named file against a run trained under those names
+    (synth's), and fails against a run trained under other names."""
+    outdir, ens_path = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    rows = _data_rows(dataset)
+    bare = _write_rows(tmp_path / "bare.csv", None, rows)
+    outputs = []
+    for data_path in (dataset, bare):
+        outputs.append(tmp_path / f"p_{data_path.stem}.csv")
+        assert run_cli(["infer", "--ensemble", str(ens_path), "--data", str(data_path),
+                        "--out", str(outputs[-1])], capsys)[0] == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    named = _write_rows(tmp_path / "named.csv", "label,ax,ay,az", rows)
+    run = tmp_path / "run_named"
+    assert run_cli(["train", "--data", str(named), "--outdir", str(run)] + TRAIN_SMALL,
+                   capsys)[0] == 0
+    assert run_cli(["fuse", "--manifest", str(run / "manifest.csv"), "--m", "1",
+                    "--out", str(tmp_path / "ens_named.csv")], capsys)[0] == 0
+    code, _, err = run_cli(["infer", "--ensemble", str(tmp_path / "ens_named.csv"),
+                            "--data", str(bare), "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 1
+    assert err.strip() == (f"error: --data {bare} has channels ch0,ch1,ch2, "
+                           f"{run / 'norm_stats.csv'} has ax,ay,az")
+
+
+@pytest.mark.parametrize("change", ["other data", "channel names", "mean", "std"])
 def test_infer_ensemble_of_differently_normalized_runs_is_an_error(change, dataset, tmp_path,
                                                                    capsys):
-    """Run b trains on other data, or on the same data with one bit of the
-    last channel's mean or std flipped in its norm_stats.csv afterwards."""
+    """Run b trains on other data, on the same values under other channel
+    names, or on the same data with one bit of the last channel's mean or
+    std flipped in its norm_stats.csv afterwards."""
     other = dataset
+    if change == "channel names":
+        other = _write_rows(tmp_path / "renamed.csv", "label,ax,ay,az", _data_rows(dataset))
     if change == "other data":
         other = tmp_path / "other.csv"
         synth = SYNTH + ["--out", str(other)]
@@ -379,7 +438,7 @@ def test_infer_ensemble_of_differently_normalized_runs_is_an_error(change, datas
         assert run_cli(["train", "--data", str(path), "--outdir", str(outdir)] + TRAIN_SMALL,
                        capsys)[0] == 0
         norms.append(outdir / "norm_stats.csv")
-    if change != "other data":
+    if change in ("mean", "std"):
         stats = load_norm_stats(norms[1])
         values = getattr(stats, change)
         values[-1] = np.nextafter(values[-1], np.inf)

@@ -198,7 +198,7 @@ def test_writing_through_gate_view_moves_step_output():
 
 def test_copy_shares_no_memory():
     net = tiny_net(seed=9)
-    dup = net.copy()
+    dup = net.with_flat(net.flat.copy())
     assert not np.shares_memory(dup.flat, net.flat)
     for (name, a), (_, b) in zip(net.param_items(), dup.param_items()):
         assert not np.shares_memory(a, b), name

@@ -135,7 +135,7 @@ def test_grad_check_detects_sign_flip():
     net = tiny_net(seed=8)
     frame = random_check_frame(net, Rng(8))
     analytic, _, _ = bptt_frame(net, frame, LossKind.CE)
-    corrupted = analytic.copy()
+    corrupted = analytic.with_flat(analytic.flat.copy())
     corrupted.layers[0].wxi[...] *= -1.0
     numeric = finite_difference_grads(net, frame, LossKind.CE)
     errors = relative_errors(corrupted, numeric)
@@ -282,7 +282,7 @@ def test_adam_two_runs_identical():
 
 def test_adam_update_leaves_earlier_snapshot_unchanged():
     net = tiny_net(seed=14)
-    snapshot = net.copy()
+    snapshot = net.with_flat(net.flat.copy())
     before = snapshot.flat.tobytes()
     frame = random_check_frame(net, Rng(14))
     grads, _, _ = bptt_frame(net, frame, LossKind.CE)
