@@ -87,6 +87,8 @@ def main() -> int:
     parser.add_argument("--m", type=int, default=10)
     parser.add_argument("--outdir", help="also write trials_*.csv and significance.csv")
     args = parser.parse_args()
+    if args.trials < 2:
+        parser.error(f"--trials must be at least 2 for the t-tests, got {args.trials}")
 
     t0 = time.time()
     per_model: dict[str, list[float]] = {}

@@ -129,11 +129,11 @@ def _gather_frame(data: LabeledSequence, positions: np.ndarray, length: int):
 
 
 def train_epoch(net: LstmNetwork, data: LabeledSequence, schedule: FrameSchedule,
-                cfg: BaggingConfig, opt: AdamState, rng: Rng):
+                cfg: BaggingConfig, opt: AdamState, rng: Rng) -> float:
     """Run one epoch's frames, updating net and opt in place.
 
     States start at zero for every stream and carry across the epoch's
-    frames. Returns (net, opt, mean loss over the epoch's frames).
+    frames. Returns the mean loss over the epoch's frames.
     """
     if data.num_channels != net.input_dim:
         raise ValueError(
@@ -149,21 +149,20 @@ def train_epoch(net: LstmNetwork, data: LabeledSequence, schedule: FrameSchedule
         adam_update(net, grads, opt)
         losses.append(loss_value)
         positions = positions + length
-    return net, opt, float(np.mean(losses))
+    return float(np.mean(losses))
 
 
-def validation_f1(net: LstmNetwork, val: LabeledSequence) -> float | list[float]:
-    """Sample-wise mean F1 of the network on a validation stream.
+def validation_f1(net: LstmNetwork, val: LabeledSequence) -> list[float]:
+    """Sample-wise mean F1 on a validation stream, one score per network.
 
-    For a stacked network (M snapshots in one (M, P) `flat`) the members
-    stream in lockstep through one `infer_stream` pass, and the result is
-    the list of M scores, each equal to the float that scoring that
-    snapshot alone returns.
+    A single network gives a list of one score. A stacked network (M
+    snapshots in one (M, P) `flat`) streams its members in lockstep through
+    one `infer_stream` pass and gives M scores, each equal to the float
+    that scoring that snapshot alone returns.
     """
     probs = infer_stream(net, val.X.T)
-    scores = [mean_f1(confusion(preds, val.z, val.num_classes))
-              for preds in probs.argmax(axis=-1).reshape(-1, val.num_samples)]
-    return scores if probs.ndim == 3 else scores[0]
+    return [mean_f1(confusion(preds, val.z, val.num_classes))
+            for preds in probs.argmax(axis=-1).reshape(-1, val.num_samples)]
 
 
 def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
@@ -193,9 +192,8 @@ def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
         losses = []
         for row in buffer:
             schedule = make_schedule(data.num_samples, cfg, rng)
-            _, _, train_loss = train_epoch(net, data, schedule, cfg, opt, rng)
+            losses.append(train_epoch(net, data, schedule, cfg, opt, rng))
             row[...] = net.flat
-            losses.append(train_loss)
         scores = validation_f1(LstmNetwork(buffer, net.shape), val)
         for row, epoch, train_loss, val_f1 in zip(buffer, epochs, losses, scores):
             learners.append(BaseLearner(net.with_flat(row), epoch, cfg.loss, val_f1))
@@ -210,8 +208,9 @@ def run_bagging(data: LabeledSequence, val: LabeledSequence, cfg: BaggingConfig,
 # A manifest is a CSV file (data.read_csv / data.write_csv) with the header
 # MANIFEST_FIELDS and one row per learner's model file, read by column name
 # so any column order loads. Learner manifests (save_learners) and ensemble
-# manifests (ensembles.save_ensemble) share the layout; an ensemble manifest
-# starts with a `# provenance=...` comment line, which the reader skips.
+# manifests (ensembles.save_ensemble) share the layout and load_learners is
+# the one reader of both; an ensemble manifest starts with a
+# `# provenance=...` comment line for people to read, skipped on load.
 
 MANIFEST_NAME = "manifest.csv"
 MANIFEST_FIELDS = ["epoch", "loss", "val_f1", "path"]
@@ -247,7 +246,8 @@ def load_learners(manifest_path) -> list[BaseLearner]:
     Every failure is a ValueError naming the manifest and the line.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    _, rows, _ = read_csv_columns(manifest_path, MANIFEST_FIELDS, str)
+    _, rows, _ = read_csv_columns(manifest_path, MANIFEST_FIELDS,
+                                  (str,) * len(MANIFEST_FIELDS))
     learners = []
     for lineno, row in rows:
         where = f"{manifest_path} line {lineno}"

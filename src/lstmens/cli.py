@@ -77,7 +77,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     os.makedirs(args.outdir, exist_ok=True)
-    data.save_norm_stats(stats, os.path.join(args.outdir, NORM_NAME), train.channel_names)
+    data.save_norm_stats(stats, os.path.join(args.outdir, NORM_NAME))
     print("epoch,train_loss,val_f1")
 
     def on_epoch(epoch, train_loss, val_f1):
@@ -145,7 +145,7 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     _echo_header(args)
     (header_no, header), rows, (preds, labels) = data.read_csv_columns(
-        args.pred, ("pred", "label"), int)
+        args.pred, ("pred", "label"), (int, int))
     probs = [name for name in header if name.startswith("p_")]
     k = len(probs)
     if k == 0 or probs != [f"p_{i}" for i in range(k)]:
@@ -221,6 +221,14 @@ def cmd_coverage(args) -> int:
 DEFAULTS = bagging.BaggingConfig()  # the paper's schedule, epochs and dropout
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_schedule_flags(p) -> None:
     """The per-epoch mini-batch size and frame length ranges."""
     for field in ("b_low", "b_high", "l_low", "l_high"):
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of the analytic gradients")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage",
                        help="Monte-Carlo estimate of per-epoch unused data")
     p.add_argument("--t", type=int, default=100000)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=_positive_int, default=200)
     _add_schedule_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_coverage)

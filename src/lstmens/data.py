@@ -124,12 +124,11 @@ def read_csv_columns(path, columns, convert):
 
     Returns (header, rows, values): header is the (file line, cells) pair of
     the header row, rows holds (file line, row dict) per data row and
-    values[j] the converted cells of columns[j]; convert is one callable for
-    every column or a tuple of one per column. A header without one of the
-    columns, with one of them twice or without rows after it, or a cell that
-    convert rejects, is a ValueError naming the path and the file line.
+    values[j] the cells of columns[j] converted by convert[j], a tuple of
+    one callable per column. A header without one of the columns, with one
+    of them twice or without rows after it, or a cell that its converter
+    rejects, is a ValueError naming the path and the file line.
     """
-    converts = convert if isinstance(convert, tuple) else (convert,) * len(columns)
     (header_no, header), *records = read_csv(path)
     for name in columns:
         if header.count(name) != 1:
@@ -141,7 +140,7 @@ def read_csv_columns(path, columns, convert):
     for lineno, cells in records:
         row = dict(zip(header, cells))
         rows.append((lineno, row))
-        for name, fn, column in zip(columns, converts, values):
+        for name, fn, column in zip(columns, convert, values):
             try:
                 column.append(fn(row[name]))
             except ValueError:
@@ -249,11 +248,12 @@ def save_csv(seq: LabeledSequence, path) -> None:
 class NormStats:
     mean: np.ndarray  # (D,)
     std: np.ndarray  # (D,)
-    channels: list[str] | None = None  # the names a norm_stats file records
+    channels: list[str]  # the training data's channel names, as norm_stats files record them
 
 
 def fit_normalizer(train: LabeledSequence) -> NormStats:
-    """Per-channel mean/std from the training split only.
+    """Per-channel mean/std from the training split only, recording its
+    channel names.
 
     Channels with (near-)zero spread are floored at SIGMA_FLOOR with a
     warning rather than rejected; dead channels are common in real dumps.
@@ -269,7 +269,7 @@ def fit_normalizer(train: LabeledSequence) -> NormStats:
             stacklevel=2,
         )
         std = np.where(low, SIGMA_FLOOR, std)
-    return NormStats(mean, std)
+    return NormStats(mean, std, train.channel_names)
 
 
 def apply_normalizer(stats: NormStats, seq: LabeledSequence) -> LabeledSequence:
@@ -286,10 +286,10 @@ def apply_normalizer(stats: NormStats, seq: LabeledSequence) -> LabeledSequence:
     return LabeledSequence(X, seq.z.copy(), seq.num_classes, seq.channel_names)
 
 
-def save_norm_stats(stats: NormStats, path, names: list[str]) -> None:
+def save_norm_stats(stats: NormStats, path) -> None:
     write_csv(path, ["channel", "mean", "std"],
               ([name, repr(float(m)), repr(float(s))]
-               for name, m, s in zip(names, stats.mean, stats.std)))
+               for name, m, s in zip(stats.channels, stats.mean, stats.std)))
 
 
 def load_norm_stats(path) -> NormStats:

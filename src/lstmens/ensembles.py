@@ -3,11 +3,10 @@
 An ensemble is an ordered set of per-epoch snapshots. Selection keeps the M
 snapshots with the best validation F1; fusion averages the members'
 per-sample class probability vectors with uniform weights. Inference runs
-the members in lockstep: members of one shape are stacked into one network
-(network.LstmNetwork.stack) and advance together, one kernel call per
-sample. Averaging is done in anchored form (see mathkit.anchored_mean) so
-fusing M identical members reproduces the member's probabilities bit for
-bit.
+the members in lockstep: the flats of the members of one shape are stacked
+into one (M, P) network and advance together, one kernel call per sample.
+Averaging is done in anchored form (see mathkit.anchored_mean) so fusing M
+identical members reproduces the member's probabilities bit for bit.
 
 ce_gap quantifies why fusion helps: for any per-sample target probabilities,
 the members' average cross entropy minus the fused model's cross entropy is
@@ -88,8 +87,8 @@ def ensemble_infer(ensemble: Ensemble, xs) -> tuple[np.ndarray, np.ndarray]:
     groups: dict[tuple, list[int]] = {}
     for j, net in enumerate(nets):
         groups.setdefault(net.shape, []).append(j)
-    parts = [(idx, infer_stream(LstmNetwork.stack([nets[j] for j in idx]), xs))
-             for idx in groups.values()]
+    parts = [(idx, infer_stream(LstmNetwork(np.stack([nets[j].flat for j in idx]), shape), xs))
+             for shape, idx in groups.items()]
     member_probs = np.empty((len(nets), *parts[0][1].shape[1:]))
     for idx, probs in parts:
         member_probs[idx] = probs
@@ -127,14 +126,13 @@ def ce_gap(target_probs) -> CeGap:
 # ---------------------------------------------------------------------------
 # manifest persistence
 
-PROVENANCE = "provenance="
-
 
 def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
     """Write an ensemble manifest referencing the members' model files.
 
     The layout is the learner manifest's (bagging.MANIFEST_FIELDS) after a
-    `# provenance=...` comment line. Every member must know its on-disk
+    `# provenance=...` comment line for people to read; load_ensemble skips
+    it like any '#' line. Every member must know its on-disk
     model file (source_path); paths are stored relative to the manifest so
     the directory can move as a unit.
     """
@@ -145,17 +143,13 @@ def save_ensemble(ensemble: Ensemble, manifest_path) -> None:
             raise ValueError(f"member epoch {m.epoch} has no model file to reference")
         paths.append(os.path.relpath(os.path.abspath(m.source_path), base))
     write_csv(manifest_path, MANIFEST_FIELDS, manifest_rows(ensemble.members, paths),
-              comment=PROVENANCE + ensemble.provenance)
+              comment=f"provenance={ensemble.provenance}")
 
 
 def load_ensemble(manifest_path) -> Ensemble:
-    """The members (bagging.load_learners) and provenance of an ensemble manifest."""
-    with open(manifest_path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline().rstrip("\r\n")
-    tag = f"# {PROVENANCE}"
-    provenance = first[len(tag):] if first.startswith(tag) else ""
+    """The ensemble whose members an ensemble manifest lists (bagging.load_learners)."""
     learners = load_learners(manifest_path)
     try:
-        return Ensemble(learners, provenance)
+        return Ensemble(learners)
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None

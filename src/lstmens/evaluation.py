@@ -65,8 +65,8 @@ class TrialSet:
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.scores.ndim != 1 or self.scores.size < 1:
-            raise ValueError("TrialSet needs a non-empty 1-d score list")
+        if self.scores.ndim != 1 or self.scores.size < 2:
+            raise ValueError("TrialSet needs a 1-d list of at least two scores")
 
     @property
     def n(self) -> int:
@@ -77,15 +77,8 @@ class TrialSet:
         return float(self.scores.mean())
 
     @property
-    def degenerate(self) -> bool:
-        """True when only one trial exists and the std is a placeholder 0."""
-        return self.n < 2
-
-    @property
     def std(self) -> float:
-        """Sample standard deviation (n-1 denominator); 0 for a single trial."""
-        if self.degenerate:
-            return 0.0
+        """Sample standard deviation (n-1 denominator)."""
         return float(self.scores.std(ddof=1))
 
 
@@ -182,8 +175,6 @@ def t_test(a: TrialSet, b: TrialSet) -> TTestResult:
     When both sets have zero variance: equal means give t=0, p=1, different
     means give an infinite statistic and p=0.
     """
-    if a.n < 2 or b.n < 2:
-        raise ValueError("t_test needs at least two trials per set")
     va, vb = float(a.scores.var(ddof=1)), float(b.scores.var(ddof=1))
     diff = a.mean - b.mean
     sa, sb = va / a.n, vb / b.n

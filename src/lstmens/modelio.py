@@ -61,8 +61,8 @@ def snapshot_fields(epoch: str, loss: str, val_f1: str) -> tuple[int, LossKind, 
 
 
 def save_model(learner: BaseLearner, path) -> None:
-    """Write one snapshot; a stack (LstmNetwork.stack) is rejected before
-    the file is opened, since the header describes a single member."""
+    """Write one snapshot; a stack (an (M, P) flat) is rejected before the
+    file is opened, since the header describes a single member."""
     net = learner.net
     if net.flat.ndim != 1:
         raise ValueError(f"{path}: cannot save a stack of {net.flat.shape[0]} networks "

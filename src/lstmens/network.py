@@ -12,12 +12,12 @@ column views of the fused tensors: initialisation, the gradient oracle and
 model-file error messages address parameters by them.
 
 Every network is built one way: `LstmNetwork(flat, shape)` binds the views
-over a given buffer, and `zeros`, `with_flat` and `stack` only choose that
-buffer. `LstmNetwork.stack` puts M same-shape networks into one
-whose `flat` is an (M, P) array: every tensor gains a leading member axis
-(wx (M, D_in, 4H), wh (M, H, 4H), b (M, 1, 4H); head w (M, H, K), b (M, 1,
-K)), and the shape properties read the trailing axes. `LstmNetwork(buf,
-shape)` over an (M, P) buffer binds the same stacked views without a copy.
+over a given buffer, and `zeros` and `with_flat` only choose that buffer. A
+stack of M same-shape networks is the same constructor over an (M, P)
+buffer, one member's flat per row (ensemble_infer binds `np.stack` of its
+members' flats, run_bagging a window buffer): every tensor gains a leading
+member axis (wx (M, D_in, 4H), wh (M, H, 4H), b (M, 1, 4H); head w (M, H,
+K), b (M, 1, K)), and the shape properties read the trailing axes.
 
 The recurrent state is always an `LstmState`, per-layer lists of h and c
 arrays: (H,) for one streamed sample (`step`), (B, H) for B training
@@ -152,19 +152,6 @@ class LstmNetwork:
         self.output = OutputLayerParams(flat[..., offset:], *head_dims)
 
     @classmethod
-    def stack(cls, nets) -> "LstmNetwork":
-        """M same-shape networks as one, for lockstep inference.
-
-        Its `flat` is a fresh (M, P) array whose row m is a copy of
-        nets[m].flat; every tensor view gains a leading member axis.
-        """
-        nets = list(nets)
-        shapes = {net.shape for net in nets}
-        if len(shapes) != 1:
-            raise ValueError(f"stack needs networks of one shape, got {sorted(shapes)}")
-        return cls(np.stack([n.flat for n in nets]), shapes.pop())
-
-    @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int, num_classes: int,
               num_layers: int) -> "LstmNetwork":
         d_ins = [input_dim] + [hidden_dim] * (num_layers - 1)
@@ -225,7 +212,7 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
     unmasked. Returns (logits (B, K), new_state). When `cache` is a list,
     one dict of intermediates per layer is appended for use by the backward
     pass; its f, i, o and g are column views of one (B, 4H) block.
-    For a stacked network (LstmNetwork.stack) the state arrays and the
+    For a stacked network ((M, P) flat) the state arrays and the
     results carry the member axis in front, (M, B, ...); x may be shared,
     (B, D).
     """

@@ -241,12 +241,11 @@ def bptt_frame(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
 # optimizer
 
 
-def adam_update(net: LstmNetwork, grads: LstmNetwork, opt: AdamState):
+def adam_update(net: LstmNetwork, grads: LstmNetwork, opt: AdamState) -> None:
     """One ADAM step, updating net parameters and moments in place.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with bias-corrected
     moments, as one vectorized update over the flat parameter vector.
-    Returns (net, opt) for call-chaining.
     """
     g = grads.flat
     opt.step += 1
@@ -262,7 +261,6 @@ def adam_update(net: LstmNetwork, grads: LstmNetwork, opt: AdamState):
     v *= b2
     v += (1.0 - b2) * (g * g)
     net.flat -= opt.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return net, opt
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,9 @@ def test_stacked_validation_f1_equals_each_snapshot_alone():
     val = data.slice(1100, 1400)
     cfg = BaggingConfig(**SMALL_CFG, max_epoch=4, seed=13)
     learners = run_bagging(data.slice(0, 1100), val, cfg, hidden_dim=5)
-    alone = [validation_f1(lr.net, val) for lr in learners]
-    stacked = validation_f1(LstmNetwork.stack([lr.net for lr in learners]), val)
+    alone = [f1 for lr in learners for f1 in validation_f1(lr.net, val)]  # one score each
+    stacked = validation_f1(LstmNetwork(np.stack([lr.net.flat for lr in learners]),
+                                        learners[0].net.shape), val)
     assert all(type(v) is float for v in alone + stacked)
     assert np.array(stacked).tobytes() == np.array(alone).tobytes()
     assert stacked == [lr.val_f1 for lr in learners]

@@ -107,7 +107,8 @@ def test_window_validation_is_one_kernel_step_per_sample(tracer_module):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        scores = bagging.validation_f1(LstmNetwork.stack(nets), val)  # the patched name
+        stacked = LstmNetwork(np.stack([net.flat for net in nets]), nets[0].shape)
+        scores = bagging.validation_f1(stacked, val)  # the patched name
     finally:
         tracer.restore()
     assert len(scores) == 5
@@ -120,10 +121,21 @@ def test_window_validation_is_one_kernel_step_per_sample(tracer_module):
 
 def test_stream_workload_has_no_failed_check(perfbench_import, tmp_path):
     # the stream pipeline writes a dataset CSV and a learner manifest, fuses
-    # an ensemble manifest, loads all three and streams through `step`
-    workloads = perfbench_import("workloads")
+    # an ensemble manifest, loads all three and streams through `step`; it
+    # runs traced, as `perfbench/run.py --trace 1` runs it, and must record
+    # every span and count that run requires, so a refactor that stops
+    # calling through a patched name fails here
+    tracer_module, workloads = perfbench_import("tracer"), perfbench_import("workloads")
     ledger = workloads.Ledger()
-    meter = workloads.RefMeter(workloads.WORKLOAD_UNITS["stream"])
-    workloads.run("stream", 1, 0.0, str(tmp_path), ledger, meter)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        meter = workloads.RefMeter(workloads.WORKLOAD_UNITS["stream"])
+        meter.probe = tracer.exclude(meter.probe)
+        workloads.run("stream", 1, 0.0, str(tmp_path), ledger, meter)
+    finally:
+        tracer.restore()
     assert ledger.attempted > 0
     assert ledger.failed == 0, ledger.errors
+    assert workloads.EXPECTED_SPANS["stream"] <= set(tracer.summary())
+    assert workloads.EXPECTED_COUNTS <= set(tracer.counts)

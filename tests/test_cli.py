@@ -272,6 +272,18 @@ def test_gradcheck_nan_tolerance_fails(capsys):
     assert rows and all(row.endswith(",0") for row in rows)
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("gradcheck", "--seeds", "0"), ("gradcheck", "--seeds", "-3"), ("coverage", "--epochs", "0"),
+])
+def test_count_below_one_is_a_usage_error(command, flag, value, capsys):
+    # --seeds 0 used to print a header and exit 0 having checked nothing, and
+    # --epochs 0 to fail on an empty reduction
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_coverage_small(capsys):
     code, out, _ = run_cli(
         ["coverage", "--t", "20000", "--epochs", "20", "--seed", "1"], capsys
@@ -442,7 +454,7 @@ def test_infer_ensemble_of_differently_normalized_runs_is_an_error(change, datas
         stats = load_norm_stats(norms[1])
         values = getattr(stats, change)
         values[-1] = np.nextafter(values[-1], np.inf)
-        save_norm_stats(stats, norms[1], ["ch0", "ch1", "ch2"])
+        save_norm_stats(stats, norms[1])
     ens_path, preds = tmp_path / "ens.csv", tmp_path / "p.csv"
     assert run_cli(["fuse", "--manifest", str(tmp_path / "a" / "manifest.csv"),
                     "--manifest", str(tmp_path / "b" / "manifest.csv"), "--m", "1",

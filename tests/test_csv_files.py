@@ -34,7 +34,7 @@ def _dataset(tmp_path):
 
 def _norm_stats(tmp_path):
     path = tmp_path / "norm_stats.csv"
-    save_norm_stats(NormStats(np.zeros(3), np.ones(3)), path, ["ax", "ay", "az"])
+    save_norm_stats(NormStats(np.zeros(3), np.ones(3), ["ax", "ay", "az"]), path)
     return path, lambda: load_norm_stats(path)
 
 

@@ -151,8 +151,9 @@ def test_normalizer_floors_constant_channel():
 def test_norm_stats_file_round_trip(tmp_path):
     seq = synth_har(3, 2, 300, seed=6)
     stats = fit_normalizer(seq)
-    save_norm_stats(stats, tmp_path / "stats.csv", seq.channel_names)
+    save_norm_stats(stats, tmp_path / "stats.csv")
     back = load_norm_stats(tmp_path / "stats.csv")
+    assert back.channels == stats.channels == seq.channel_names
     assert np.array_equal(back.mean, stats.mean)
     assert np.array_equal(back.std, stats.std)
 
@@ -160,7 +161,7 @@ def test_norm_stats_file_round_trip(tmp_path):
 @pytest.mark.parametrize("channels", [1, 2, 5])
 def test_normalizer_rejects_wrong_channel_count(channels):
     seq = synth_har(3, 2, 200, seed=7)
-    stats = NormStats(np.zeros(channels), np.ones(channels))
+    stats = NormStats(np.zeros(channels), np.ones(channels), [f"ch{i}" for i in range(channels)])
     with pytest.raises(ValueError, match=rf"normalizer has {channels} channel\(s\), data has 3"):
         apply_normalizer(stats, seq)
 

@@ -107,9 +107,9 @@ def test_mean_f1_matches_oracle_on_random_matrices():
 # trials
 
 
-def test_single_trial_flagged_degenerate():
-    ts = TrialSet("one", [0.5])
-    assert ts.degenerate and ts.std == 0.0
+def test_single_trial_is_rejected():
+    with pytest.raises(ValueError, match="at least two scores"):
+        TrialSet("one", [0.5])
 
 
 # ---------------------------------------------------------------------------

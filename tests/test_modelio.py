@@ -32,7 +32,8 @@ def test_round_trip_bit_exact(tmp_path):
 
 
 def test_save_rejects_a_stack_before_opening_the_file(tmp_path):
-    stack = LstmNetwork.stack([init_network(2, 3, 2, num_layers=1, rng=Rng(s)) for s in (1, 2)])
+    nets = [init_network(2, 3, 2, num_layers=1, rng=Rng(s)) for s in (1, 2)]
+    stack = LstmNetwork(np.stack([net.flat for net in nets]), nets[0].shape)
     path = tmp_path / "stack.lstm"
     with pytest.raises(ValueError, match=re.escape(f"{path}: cannot save a stack of 2")):
         save_model(snapshot(stack), path)

@@ -229,9 +229,13 @@ def test_constructor_copies_per_gate_tensors_into_layout():
 # stacked members
 
 
+def _stack(nets):
+    return LstmNetwork(np.stack([net.flat for net in nets]), nets[0].shape)
+
+
 def test_stack_rows_are_member_flats_with_member_axis_views():
     nets = [tiny_net(seed=s) for s in (1, 2, 3)]
-    stacked = LstmNetwork.stack(nets)
+    stacked = _stack(nets)
     assert stacked.flat.shape == (3, nets[0].flat.size)
     for m, net in enumerate(nets):
         assert np.array_equal(stacked.flat[m], net.flat)
@@ -248,26 +252,15 @@ def test_stack_rows_are_member_flats_with_member_axis_views():
     assert (stacked.input_dim, stacked.hidden_dim, stacked.num_classes) == (3, 4, 3)
 
 
-def test_stack_rejects_mixed_shapes():
-    with pytest.raises(ValueError, match="one shape"):
-        LstmNetwork.stack([tiny_net(h=4), tiny_net(h=5)])
-    with pytest.raises(ValueError, match="one shape"):
-        LstmNetwork.stack([tiny_net(layers=2), tiny_net(layers=1)])
-    with pytest.raises(ValueError, match="one shape"):
-        LstmNetwork.stack([tiny_net(k=3), tiny_net(k=2)])
-    with pytest.raises(ValueError, match="one shape"):
-        LstmNetwork.stack([])
-
-
 def test_stacked_infer_stream_equals_each_member_bitwise():
     rng = Rng(12)
     nets = [init_network(4, 6, 3, num_layers=2, rng=rng) for _ in range(4)]
     xs = rng.normal_block(4 * 30).reshape(30, 4)
-    probs = infer_stream(LstmNetwork.stack(nets), xs)
+    probs = infer_stream(_stack(nets), xs)
     assert probs.shape == (4, 30, 3)
     for m, net in enumerate(nets):
         assert probs[m].tobytes() == infer_stream(net, xs).tobytes()
-    assert infer_stream(LstmNetwork.stack(nets), np.empty((0, 4))).shape == (4, 0, 3)
+    assert infer_stream(_stack(nets), np.empty((0, 4))).shape == (4, 0, 3)
 
 
 # ---------------------------------------------------------------------------
