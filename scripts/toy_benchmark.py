@@ -89,6 +89,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.trials < 2:
         parser.error(f"--trials must be at least 2 for the t-tests, got {args.trials}")
+    if not 2 <= args.m <= args.max_epoch:  # the mixed ensemble takes M // 2 from each run
+        parser.error(f"--m must be in [2, --max-epoch {args.max_epoch}], got {args.m}")
 
     t0 = time.time()
     per_model: dict[str, list[float]] = {}

@@ -76,6 +76,9 @@ def cmd_train(args) -> int:
         dropout_p=args.dropout,
         seed=args.seed,
     )
+    if train.num_samples <= cfg.b_high:  # checked before anything is written
+        raise ValueError(f"--b-high {cfg.b_high} must be below the "
+                         f"{train.num_samples} samples of the training split")
     os.makedirs(args.outdir, exist_ok=True)
     data.save_norm_stats(stats, os.path.join(args.outdir, NORM_NAME))
     print("epoch,train_loss,val_f1")
@@ -260,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-col", type=int, default=0)
     p.add_argument("--split", default="0.8,0.1,0.1",
                    help="train,val,test fractions over the stream")
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--hidden", type=_positive_int, default=256)
+    p.add_argument("--layers", type=_positive_int, default=2)
     _add_schedule_flags(p)
     p.add_argument("--max-epoch", type=int, default=DEFAULTS.max_epoch)
     p.add_argument("--loss", choices=[kind.value.lower() for kind in LossKind], default="ce")

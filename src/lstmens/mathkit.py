@@ -20,12 +20,13 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Only exp(-|x|) is ever evaluated, so large positive inputs cannot
     overflow; the result is 1/(1+e) for x >= 0 and e/(1+e) below, clipped
-    into the open interval (0, 1). out, if given, receives the result and
-    may be v itself.
+    into the open interval (0, 1). The numerator exp(fmin(x, 0)) is that
+    branch pair without a select, bit for bit (exp(0) is 1; a NaN comes
+    through e). out, if given, receives the result and may be v itself.
     """
     v = np.asarray(v, dtype=np.float64)
     e = np.exp(-np.abs(v))
-    num = np.where(v >= 0.0, 1.0, e)
+    num = np.exp(np.fmin(v, 0.0))
     e += 1.0
     return _clip_into(np.divide(num, e, out=out), _TINY, _ONE_BELOW)
 

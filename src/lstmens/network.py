@@ -26,8 +26,9 @@ streams, with the member axis in front for a stacked network.
 Per timestep and layer, with sigmoid s and previous (h, c):
 
     a = x@Wx + h@Wh + b                fused preactivations, (B, 4H)
-    [f, i, o] = s(a[..., :3H])         forget, input, output gates
-    g = tanh(a[..., 3H:])              cell candidate
+    z = a as (4, B, H)                 gate-major copy, each gate contiguous
+    [f, i, o] = s(z[:3])               forget, input, output gates
+    g = tanh(z[3])                     cell candidate
     c' = f * c + i * g                 new cell state
     h' = o * tanh(c')                  new hidden state
 
@@ -211,7 +212,8 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
     on its feed-forward (upward) connection only; the recurrent h path stays
     unmasked. Returns (logits (B, K), new_state). When `cache` is a list,
     one dict of intermediates per layer is appended for use by the backward
-    pass; its f, i, o and g are column views of one (B, 4H) block.
+    pass; its z is the gate-major (4, B, H) activation block and f, i, o and
+    g are its C-contiguous rows.
     For a stacked network ((M, P) flat) the state arrays and the
     results carry the member axis in front, (M, B, ...); x may be shared,
     (B, D).
@@ -221,14 +223,16 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
     new = LstmState([], [])
     for idx, layer in enumerate(net.layers):
         h_prev, c_prev = state.h[idx], state.c[idx]
-        # preactivations inp @ wx + h_prev @ wh + b, accumulated in place and
-        # then overwritten by the gate activations: one (B, 4H) buffer
+        # preactivations inp @ wx + h_prev @ wh + b, accumulated in place,
+        # then copied once gate-major so each gate is a contiguous row of z
         a = inp @ layer.wx
         a += h_prev @ layer.wh
         a += layer.b
-        s = sigmoid(a[..., : 3 * hidden], out=a[..., : 3 * hidden])
-        f, i, o = s[..., :hidden], s[..., hidden : 2 * hidden], s[..., 2 * hidden :]
-        g = tanh_vec(a[..., 3 * hidden :], out=a[..., 3 * hidden :])
+        lead = a.ndim - 1  # (..., B, 4, H) -> (4, ..., B, H)
+        z = a.reshape(*a.shape[:-1], 4, hidden).transpose(lead, *range(lead), lead + 1).copy()
+        sigmoid(z[:3], out=z[:3])
+        tanh_vec(z[3], out=z[3])
+        f, i, o, g = z
         c = f * c_prev
         c += i * g
         tc = tanh_vec(c)
@@ -238,6 +242,7 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
         if cache is not None:
             cache.append(
                 {
+                    "z": z,
                     "x_in": inp,
                     "h_prev": h_prev,
                     "c_prev": c_prev,

@@ -165,11 +165,12 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
     network of net's shape whose parameters are the gradients.
 
     Gradients are truncated at the frame boundary: nothing flows into the
-    carried-in state. Each layer-step forms one (B, 4H) preactivation
-    gradient in the fused gate order [f, i, o, g], so its weight gradients
-    are 2 products and its input/recurrent gradients 2 more. Accumulation
-    order is fixed (reverse time, top layer down, streams summed inside the
-    matrix products), so results are bitwise reproducible.
+    carried-in state. Each layer-step fills a gate-major (4, B, H)
+    preactivation gradient like the cached activations, then one transposing
+    copy gives the (B, 4H) block whose weight gradients are 2 products and
+    input/recurrent gradients 2 more. Accumulation order is fixed (reverse
+    time, top layer down, streams summed inside the matrix products), so
+    results are bitwise reproducible.
     """
     length, batch, k = dlogits.shape
     hidden = net.hidden_dim
@@ -185,9 +186,7 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
     n_layers = net.num_layers
     dh_rec = [np.zeros((batch, hidden)) for _ in range(n_layers)]
     dc_rec = [np.zeros((batch, hidden)) for _ in range(n_layers)]
-    da = np.empty((batch, 4 * hidden))
-    da_f, da_i = da[:, :hidden], da[:, hidden : 2 * hidden]
-    da_o, da_g = da[:, 2 * hidden : 3 * hidden], da[:, 3 * hidden :]
+    dz = np.empty((4, batch, hidden))
     for t in reversed(range(length)):
         dup = dup_top[t]
         for idx in reversed(range(n_layers)):
@@ -195,12 +194,18 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
             layer, glayer = net.layers[idx], gnet.layers[idx]
             mask = cc["mask"]
             dh = (dup if mask is None else dup * mask) + dh_rec[idx]
-            f, i, g, o, tc = cc["f"], cc["i"], cc["g"], cc["o"], cc["tc"]
-            da_o[...] = dh * tc * o * (1.0 - o)
+            z, tc = cc["z"], cc["tc"]
+            f, i, o, g = z
             dc = dh * o * (1.0 - tc * tc) + dc_rec[idx]
-            da_f[...] = dc * cc["c_prev"] * f * (1.0 - f)
-            da_i[...] = dc * g * i * (1.0 - i)
-            da_g[...] = dc * i * (1.0 - g * g)
+            # rows 0-2 are dc*c_prev, dc*g and dh*tc, then times s and times
+            # (1 - s) of the three sigmoid gates, one call each for all three
+            np.multiply(dc, cc["c_prev"], out=dz[0])
+            np.multiply(dc, g, out=dz[1])
+            np.multiply(dh, tc, out=dz[2])
+            dz[:3] *= z[:3]
+            dz[:3] *= 1.0 - z[:3]
+            np.multiply(dc * i, 1.0 - g * g, out=dz[3])
+            da = dz.transpose(1, 0, 2).reshape(batch, 4 * hidden)  # a copy, (B, 4H)
             glayer.wx += cc["x_in"].T @ da
             glayer.wh += cc["h_prev"].T @ da
             glayer.b += da.sum(axis=0)

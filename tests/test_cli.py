@@ -284,6 +284,21 @@ def test_count_below_one_is_a_usage_error(command, flag, value, capsys):
     assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--hidden", "0"), ("--layers", "0"), ("--b-high", "1200")])
+def test_train_bad_option_writes_nothing(flag, value, dataset, tmp_path, capsys):
+    # these used to fail only once norm_stats.csv was in --outdir; the
+    # training split of the 1500-sample dataset has 1200 samples
+    outdir = tmp_path / "run"
+    argv = ["train", "--data", str(dataset), "--outdir", str(outdir)] + TRAIN_SMALL
+    try:
+        code = main(argv + [flag, value])
+    except SystemExit as exc:
+        code = exc.code
+    assert code != 0
+    assert not outdir.exists()
+    assert flag in capsys.readouterr().err
+
+
 def test_coverage_small(capsys):
     code, out, _ = run_cli(
         ["coverage", "--t", "20000", "--epochs", "20", "--seed", "1"], capsys

@@ -30,6 +30,30 @@ def test_sigmoid_saturation_no_overflow():
     assert 1.0 - 1e-15 < hi < 1.0
 
 
+def _textbook_sigmoid(v):
+    # the branch-stable form: 1/(1+e) for v >= 0, e/(1+e) below, e = exp(-|v|)
+    e = np.exp(-np.abs(v))
+    tiny, below_one = np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0)
+    return np.clip(np.where(v >= 0.0, 1.0, e) / (1.0 + e), tiny, below_one)
+
+
+def test_sigmoid_is_the_textbook_form_bit_for_bit():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 5e-324,
+                      -5e-324, 1e-320, -1e-320, 2.2250738585072014e-308, -708.0,
+                      708.0, 36.7, -36.7, 1.0, -1.0])
+    v = np.concatenate([edges, Rng(3).normal_block(20000) * 30.0])
+    want = _textbook_sigmoid(v)
+    with np.errstate(over="raise"):
+        got = sigmoid(v)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # in place on a strided view, as a kernel calls it on part of a block
+    block = np.stack([v, v, v], axis=1)
+    sigmoid(block[:, 1], out=block[:, 1])
+    assert np.array_equal(block[:, 1].view(np.uint64), want.view(np.uint64))
+    for col in (0, 2):  # the neighbours of the view are untouched
+        assert np.array_equal(block[:, col].view(np.uint64), v.view(np.uint64))
+
+
 @given(st.lists(finite_floats, min_size=1, max_size=20))
 def test_sigmoid_open_range(values):
     out = sigmoid(np.array(values))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lstmens import classify, infer_stream, init_network, step
-from lstmens.network import LstmNetwork
+from lstmens.mathkit import sigmoid, tanh_vec
+from lstmens.network import LstmNetwork, step_batch
 from lstmens.rng import Rng
 
 from conftest import tiny_net
@@ -261,6 +262,33 @@ def test_stacked_infer_stream_equals_each_member_bitwise():
     for m, net in enumerate(nets):
         assert probs[m].tobytes() == infer_stream(net, xs).tobytes()
     assert infer_stream(_stack(nets), np.empty((0, 4))).shape == (4, 0, 3)
+
+
+@pytest.mark.parametrize("members, batch", [(None, 1), (None, 5), (3, 4)])
+def test_step_batch_caches_contiguous_gate_rows(members, batch):
+    # each cached gate is a C-contiguous row of one gate-major block, bitwise
+    # what the nonlinearities give on the column blocks of the fused
+    # (..., B, 4H) preactivation
+    rng = Rng(14)
+    nets = [init_network(3, 5, 2, num_layers=2, rng=rng) for _ in range(members or 1)]
+    net = nets[0] if members is None else _stack(nets)
+    state = net.zero_state(batch)
+    state.h = [np.tanh(rng.normal_block(h.size)).reshape(h.shape) for h in state.h]
+    state.c = [rng.normal_block(c.size).reshape(c.shape) for c in state.c]
+    x = rng.normal_block(batch * 3).reshape(batch, 3)
+    cache = []
+    step_batch(net, x, state, cache=cache)
+    inp = x
+    for idx, (layer, cc) in enumerate(zip(net.layers, cache)):
+        a = inp @ layer.wx + state.h[idx] @ layer.wh + layer.b
+        cols = [a[..., k * 5:(k + 1) * 5] for k in range(4)]
+        want = dict(zip("fio", map(sigmoid, cols[:3])), g=tanh_vec(cols[3]))
+        want["tc"] = tanh_vec(want["f"] * state.c[idx] + want["i"] * want["g"])
+        for name, value in want.items():
+            assert cc[name].flags.c_contiguous, (idx, name)
+            assert cc[name].shape == (*net.flat.shape[:-1], batch, 5)
+            assert cc[name].tobytes() == value.tobytes(), (idx, name)
+        inp = cc["up"]
 
 
 # ---------------------------------------------------------------------------
