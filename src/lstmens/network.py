@@ -219,17 +219,17 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
     (B, D).
     """
     inp = x
-    hidden = net.hidden_dim
+    # per layer, inp @ wx + h_prev @ wh + b is accumulated in place, (..., B, 4H)
+    # like h, then copied once gate-major, (4, ..., B, H): each gate a row of z
+    lead = state.h[0].ndim - 1
+    split, gate_major = (*state.h[0].shape[:-1], 4, net.hidden_dim), (lead, *range(lead), lead + 1)
     new = LstmState([], [])
     for idx, layer in enumerate(net.layers):
         h_prev, c_prev = state.h[idx], state.c[idx]
-        # preactivations inp @ wx + h_prev @ wh + b, accumulated in place,
-        # then copied once gate-major so each gate is a contiguous row of z
         a = inp @ layer.wx
         a += h_prev @ layer.wh
         a += layer.b
-        lead = a.ndim - 1  # (..., B, 4, H) -> (4, ..., B, H)
-        z = a.reshape(*a.shape[:-1], 4, hidden).transpose(lead, *range(lead), lead + 1).copy()
+        z = a.reshape(split).transpose(gate_major).copy()
         sigmoid(z[:3], out=z[:3])
         tanh_vec(z[3], out=z[3])
         f, i, o, g = z
@@ -275,7 +275,7 @@ def step(net: LstmNetwork, x: np.ndarray, state: LstmState):
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise ValueError(f"step: input shape {x.shape}, expected ({net.input_dim},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("step: non-finite input sample")
     # the kernel runs (1, n) rows, as infer_stream does
     batched = LstmState([h[None] for h in state.h], [c[None] for c in state.c])
@@ -285,7 +285,8 @@ def step(net: LstmNetwork, x: np.ndarray, state: LstmState):
 
 
 def classify(logits: np.ndarray) -> np.ndarray:
-    """Class probability vector for one sample's logits (per row for (M, K))."""
+    """Class probabilities along the last axis: one sample's (K,) logits, or a
+    block of rows such as a stream's (T, K), each row bit for bit as alone."""
     return softmax(np.asarray(logits, dtype=np.float64))
 
 
@@ -297,8 +298,9 @@ def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
     array of per-sample class probabilities, or (M, T, K) for a stacked
     network, whose members advance in lockstep: one `step_batch` call per
     sample. No dropout on this path. Each sample runs the same B=1 kernel
-    `step` runs, so feeding the stream one sample at a time with an
-    externally carried state is bit-identical.
+    `step` runs, and one `classify` over the stream's logits equals
+    classifying each sample's, so feeding the stream one sample at a time
+    with an externally carried state is bit-identical.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.size == 0:
@@ -311,11 +313,10 @@ def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
     if bad.any():
         raise ValueError(f"infer_stream: non-finite input sample at row {int(bad.argmax())}")
     state = net.zero_state(1)
-    probs = np.empty((*net.flat.shape[:-1], xs.shape[0], net.num_classes))
+    logits = np.empty((*net.flat.shape[:-1], xs.shape[0], net.num_classes))
     for t in range(xs.shape[0]):
-        logits, state = step_batch(net, xs[t : t + 1], state)
-        probs[..., t, :] = classify(logits[..., 0, :])
-    return probs
+        logits[..., t : t + 1, :], state = step_batch(net, xs[t : t + 1], state)
+    return classify(logits)
 
 
 def init_network(

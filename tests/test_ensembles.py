@@ -155,21 +155,23 @@ def test_ensemble_identical_members_equal_single():
 
 def test_ensemble_infer_equals_per_member_step_streaming_bitwise():
     # the benchmark's streamed == offline check: each member advanced by
-    # `step` on its own carried state, fused sample by sample
-    rng = Rng(6)
-    nets = [init_network(3, 5, 4, num_layers=2, rng=rng) for _ in range(3)]
-    xs = rng.normal_block(3 * 40).reshape(40, 3)
-    fused, labels = ensemble_infer(
-        Ensemble([BaseLearner(net, j, LossKind.CE, 0.5) for j, net in enumerate(nets)]), xs)
-    states = [net.zero_state() for net in nets]
-    for t in range(40):
-        member = np.empty((3, 4))
-        for j, net in enumerate(nets):
-            logits, states[j], _ = step(net, xs[t], states[j])
-            member[j] = classify(logits)
-        streamed = anchored_mean(member, axis=0)
-        assert streamed.tobytes() == fused[t].tobytes()
-        assert labels[t] == streamed.argmax()
+    # `step` on its own carried state, fused sample by sample; K=9 sums each
+    # softmax row pairwise
+    for k in (4, 9):
+        rng = Rng(6)
+        nets = [init_network(3, 5, k, num_layers=2, rng=rng) for _ in range(3)]
+        xs = rng.normal_block(3 * 40).reshape(40, 3)
+        fused, labels = ensemble_infer(
+            Ensemble([BaseLearner(net, j, LossKind.CE, 0.5) for j, net in enumerate(nets)]), xs)
+        states = [net.zero_state() for net in nets]
+        for t in range(40):
+            member = np.empty((3, k))
+            for j, net in enumerate(nets):
+                logits, states[j], _ = step(net, xs[t], states[j])
+                member[j] = classify(logits)
+            streamed = anchored_mean(member, axis=0)
+            assert streamed.tobytes() == fused[t].tobytes()
+            assert labels[t] == streamed.argmax()
 
 
 def test_heterogeneous_ensemble_fuses_in_member_order_bitwise():

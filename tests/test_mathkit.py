@@ -61,6 +61,18 @@ def test_sigmoid_open_range(values):
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
+def test_nonlinearities_take_array_likes_and_return_float64():
+    v = Rng(5).normal_block(12) * 4.0
+    for f in (sigmoid, tanh_vec):
+        want = f(v.copy())
+        for like in (v.astype(np.float32), list(v.astype(np.float32))):
+            got = f(like)
+            assert got.dtype == np.float64
+            assert got.tobytes() == f(np.asarray(like, dtype=np.float64)).tobytes()
+        got = f(list(v))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 def test_tanh_values():
     assert tanh_vec(np.array([0.0]))[0] == 0.0
     assert abs(tanh_vec(np.array([1000.0]))[0] - 1.0) < 1e-15
@@ -113,6 +125,39 @@ def test_softmax_shift_invariance(values, shift):
     assert np.max(np.abs(softmax(x + shift) - softmax(x))) < 1e-12
 
 
+def _textbook_softmax(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return np.clip(e / e.sum(axis=axis, keepdims=True), np.finfo(np.float64).tiny, None)
+
+
+def test_softmax_is_the_textbook_form_bit_for_bit():
+    # saturated rows (a logit far above the rest) floor at the tiny normal;
+    # a +inf logit gives a NaN row, a -inf logit a tiny entry; a block of
+    # rows must match each row alone, also at K >= 8 (pairwise sums)
+    rng = Rng(8)
+    for k in range(2, 34):
+        scale = np.repeat([1.0, 60.0, 900.0], [14, 13, 13])[:, None]
+        x = rng.normal_block(40 * k).reshape(40, k) * scale
+        x[0, 0], x[1, -1], x[2, :] = np.inf, -np.inf, -np.inf
+        x[3, :2] = np.inf, -np.inf
+        x[4, 1] = 1e308
+        with np.errstate(invalid="ignore"):
+            want = _textbook_softmax(x, -1)
+            assert softmax(x).tobytes() == want.tobytes()
+            rows = np.stack([softmax(row) for row in x])
+            assert rows.tobytes() == want.tobytes()
+            block = np.stack([x[: 20], x[20:]])  # (2, 20, K), as infer_stream's (M, T, K)
+            assert softmax(block).tobytes() == want.reshape(2, 20, k).tobytes()
+            col = _textbook_softmax(x.T.copy(), 0)
+            assert softmax(x.T.copy(), axis=0).tobytes() == col.tobytes()
+    # array-likes: a list, float32, and a scalar (one class, probability 1)
+    pair = _textbook_softmax(np.array([0.5, -1.0]), -1)
+    assert softmax([0.5, -1.0]).tobytes() == pair.tobytes()
+    assert softmax(np.float32([0.5, -1.0])).dtype == np.float64
+    assert softmax(0.5) == 1.0
+
+
 def test_log_softmax_matches_log_of_softmax_in_safe_range():
     x = np.array([0.3, -1.2, 2.0])
     assert np.allclose(log_softmax(x), np.log(softmax(x)), atol=1e-12)
@@ -143,3 +188,13 @@ def test_anchored_mean_matches_plain_mean():
     rng = Rng(4)
     x = rng.normal_block(60).reshape(5, 12)
     assert np.allclose(anchored_mean(x, axis=0), x.mean(axis=0), atol=1e-14)
+
+
+def test_anchored_mean_is_the_anchored_form_bit_for_bit():
+    x = Rng(6).normal_block(7 * 9 * 5).reshape(7, 9, 5) * 0.1 + 0.3
+    for axis in (0, 1):
+        anchor = np.take(x, [0], axis=axis)
+        want = np.squeeze(anchor, axis) + (x - anchor).mean(axis=axis)
+        assert anchored_mean(x, axis=axis).tobytes() == want.tobytes()
+    row = x[:, 0, 0]
+    assert anchored_mean(list(row)) == row[0] + (row - row[0]).mean()

@@ -93,14 +93,22 @@ def test_infer_stream_empty():
 
 
 def test_infer_stream_equals_manual_stepping():
-    rng = Rng(9)
-    net = init_network(4, 6, 3, num_layers=2, rng=rng)
-    xs = rng.normal_block(4 * 25).reshape(25, 4)
-    whole = infer_stream(net, xs)
-    state = net.zero_state()
-    for t in range(25):
-        logits, state, _ = step(net, xs[t], state)
-        assert np.array_equal(whole[t], classify(logits))
+    # infer_stream takes one softmax over the stream's logits; each row must
+    # be bitwise each sample's own classify, for one network and for a stack,
+    # also at K >= 8, where numpy sums a row pairwise in unrolled blocks
+    for k in (3, 2, 8, 9, 17):
+        rng = Rng(9)
+        nets = [init_network(4, 6, k, num_layers=2, rng=rng)]
+        xs = rng.normal_block(4 * 25).reshape(25, 4)
+        nets += [init_network(4, 6, k, num_layers=2, rng=rng) for _ in range(2)]
+        stacked = infer_stream(LstmNetwork(np.stack([n.flat for n in nets]), nets[0].shape), xs)
+        for j, net in enumerate(nets):
+            whole = infer_stream(net, xs)
+            state = net.zero_state()
+            for t in range(25):
+                logits, state, _ = step(net, xs[t], state)
+                assert whole[t].tobytes() == classify(logits).tobytes()
+                assert stacked[j, t].tobytes() == whole[t].tobytes()
 
 
 def test_infer_stream_partition_associativity():
