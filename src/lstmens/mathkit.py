@@ -23,9 +23,11 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     into the open interval (0, 1). The numerator exp(fmin(x, 0)) is that
     branch pair without a select, bit for bit (exp(0) is 1; a NaN comes
     through e). Each exp runs in place; out, if given, receives the result
-    and may be v itself.
+    and may be v itself. A scalar gives the value of its 1-element array.
     """
     v = np.asarray(v, dtype=np.float64)
+    if not v.ndim:  # a ufunc on a 0-d array returns a scalar, which out= rejects
+        return sigmoid(v.reshape(1), None if out is None else out.reshape(1))[0]
     e = np.abs(v)
     np.exp(np.negative(e, out=e), out=e)
     e += 1.0
@@ -36,22 +38,26 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def tanh_vec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise tanh with outputs kept strictly inside (-1, 1); out as in
-    sigmoid."""
-    t = np.tanh(np.asarray(v, dtype=np.float64), out=out)
+    """Elementwise tanh with outputs kept strictly inside (-1, 1); out and
+    scalars as in sigmoid."""
+    v = np.asarray(v, dtype=np.float64)
+    if not v.ndim:
+        return tanh_vec(v.reshape(1), None if out is None else out.reshape(1))[0]
+    t = np.tanh(v, out=out)
     np.maximum(t, -_ONE_BELOW, out=t)
     return np.minimum(t, _ONE_BELOW, out=t)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(logits: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Probability simplex map via max-subtraction.
 
     Invariant under adding a constant to all logits; entries are strictly
     positive and sum to 1 within 1e-12 for any finite input. A block of
-    rows gives each row's softmax bit for bit.
+    rows gives each row's softmax bit for bit; out as in sigmoid.
     """
-    e = np.array(logits, dtype=np.float64)  # a copy, an array even for a scalar
-    e -= np.maximum.reduce(e, axis=axis, keepdims=True)
+    x = np.asarray(logits, dtype=np.float64)
+    e = np.empty_like(x) if out is None else out  # an array even for a scalar
+    np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=e)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=axis, keepdims=True)
     return np.maximum(e, _TINY, out=e)
@@ -72,5 +78,4 @@ def anchored_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
     averaging identical member outputs must be an exact identity.
     """
     v = np.asarray(values, dtype=np.float64)
-    anchor = np.take(v, 0, axis=axis)
-    return anchor + np.add.reduce(v - np.expand_dims(anchor, axis), axis) / v.shape[axis]
+    return v.take(0, axis) + np.add.reduce(v - v.take([0], axis), axis) / v.shape[axis]

@@ -26,7 +26,7 @@ streams, with the member axis in front for a stacked network.
 Per timestep and layer, with sigmoid s and previous (h, c):
 
     a = x@Wx + h@Wh + b                fused preactivations, (B, 4H)
-    z = a as (4, B, H)                 gate-major copy, each gate contiguous
+    z = a as (4, B, H)                 gate-major, each gate contiguous
     [f, i, o] = s(z[:3])               forget, input, output gates
     g = tanh(z[3])                     cell candidate
     c' = f * c + i * g                 new cell state
@@ -36,12 +36,12 @@ The last layer's hidden state feeds a linear head: logits = h' @ W + b.
 
 There is one kernel, `step_batch`. Everything is batch-first (B, feature),
 and a stacked network adds the member axis in front ((M, B, feature)), so
-the same body advances B training streams, one streamed sample (B=1), or
-one sample through all M members of an ensemble in lockstep. numpy's
-stacked matmul makes the same per-member BLAS call as the 2-D product, so
-a stacked member's output is bit-identical to the member run alone, and
-streaming one sample at a time is bit-identical to whole-sequence inference
-by construction.
+the same body advances B training streams, one streamed sample (bare (D,)
+and (H,) vectors, whose products round as (1, n) rows do), or one sample
+through all M members of an ensemble in lockstep. numpy's stacked matmul
+makes the same per-member BLAS call as the 2-D product, so a stacked
+member's output is bit-identical to the member run alone, and streaming
+one sample at a time is bit-identical to whole-sequence inference.
 """
 
 from __future__ import annotations
@@ -207,20 +207,19 @@ class LstmNetwork:
 def step_batch(net, x, state: LstmState, masks=None, cache=None):
     """One timestep for a batch of streams.
 
-    x: (B, D); state: per-layer (B, H) arrays. masks, when given, is a
-    per-layer sequence of (B, H) multipliers applied to each layer's output
-    on its feed-forward (upward) connection only; the recurrent h path stays
-    unmasked. Returns (logits (B, K), new_state). When `cache` is a list,
-    one dict of intermediates per layer is appended for use by the backward
-    pass; its z is the gate-major (4, B, H) activation block and f, i, o and
-    g are its C-contiguous rows.
-    For a stacked network ((M, P) flat) the state arrays and the
-    results carry the member axis in front, (M, B, ...); x may be shared,
-    (B, D).
+    x: (B, D) and state per-layer (B, H) arrays, or (D,) and (H,) for one
+    sample (`step`). masks, when given, is a per-layer sequence of (B, H)
+    multipliers applied to each layer's output on its feed-forward (upward)
+    connection only; the recurrent h path stays unmasked. Returns (logits
+    (B, K), new_state). When `cache` is a list, one dict of intermediates
+    per layer is appended for the backward pass; its z is the gate-major
+    (4, B, H) activation block and f, i, o and g are its C-contiguous rows.
+    For a stacked network ((M, P) flat) the state arrays and the results
+    carry the member axis in front, (M, B, ...); x may be shared, (B, D).
     """
     inp = x
     # per layer, inp @ wx + h_prev @ wh + b is accumulated in place, (..., B, 4H)
-    # like h, then copied once gate-major, (4, ..., B, H): each gate a row of z
+    # like h, then gate-major (4, ..., B, H), copied if B > 1: each gate a row of z
     lead = state.h[0].ndim - 1
     split, gate_major = (*state.h[0].shape[:-1], 4, net.hidden_dim), (lead, *range(lead), lead + 1)
     new = LstmState([], [])
@@ -229,7 +228,7 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
         a = inp @ layer.wx
         a += h_prev @ layer.wh
         a += layer.b
-        z = a.reshape(split).transpose(gate_major).copy()
+        z = np.ascontiguousarray(a.reshape(split).transpose(gate_major))
         sigmoid(z[:3], out=z[:3])
         tanh_vec(z[3], out=z[3])
         f, i, o, g = z
@@ -265,9 +264,9 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
 def step(net: LstmNetwork, x: np.ndarray, state: LstmState):
     """Advance the network by one sample, without dropout.
 
-    state holds (H,) arrays (net.zero_state()). Returns (logits (K,),
-    new_state, cache) where cache holds each layer's gate activations and
-    inputs (the intermediates a backward pass needs).
+    state holds (H,) arrays (net.zero_state()), read, not modified. Returns
+    (logits (K,), new_state, None); the None slot holds no cache and stays
+    only for callers that unpack three values (the benchmark's stream loop).
     """
     # contiguous like infer_stream's rows: numpy multiplies a strided row
     # (e.g. a column of a (D, T) array) by another code path that rounds
@@ -277,17 +276,13 @@ def step(net: LstmNetwork, x: np.ndarray, state: LstmState):
         raise ValueError(f"step: input shape {x.shape}, expected ({net.input_dim},)")
     if not np.isfinite(x).all():
         raise ValueError("step: non-finite input sample")
-    # the kernel runs (1, n) rows, as infer_stream does
-    batched = LstmState([h[None] for h in state.h], [c[None] for c in state.c])
-    cache: list[dict] = []
-    logits, new = step_batch(net, x[None], batched, cache=cache)
-    return logits[0], LstmState([h[0] for h in new.h], [c[0] for c in new.c]), cache
+    return (*step_batch(net, x, state), None)
 
 
 def classify(logits: np.ndarray) -> np.ndarray:
     """Class probabilities along the last axis: one sample's (K,) logits, or a
     block of rows such as a stream's (T, K), each row bit for bit as alone."""
-    return softmax(np.asarray(logits, dtype=np.float64))
+    return softmax(logits)
 
 
 def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
@@ -297,10 +292,10 @@ def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
     (width, finiteness; the first bad row is named). Returns the (T, K)
     array of per-sample class probabilities, or (M, T, K) for a stacked
     network, whose members advance in lockstep: one `step_batch` call per
-    sample. No dropout on this path. Each sample runs the same B=1 kernel
-    `step` runs, and one `classify` over the stream's logits equals
-    classifying each sample's, so feeding the stream one sample at a time
-    with an externally carried state is bit-identical.
+    sample. No dropout on this path. Each sample's row product rounds like
+    `step`'s vector product, and one softmax over the stream's logits,
+    in place, equals classifying each sample's, so feeding the stream one
+    sample at a time with an externally carried state is bit-identical.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.size == 0:
@@ -316,7 +311,7 @@ def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
     logits = np.empty((*net.flat.shape[:-1], xs.shape[0], net.num_classes))
     for t in range(xs.shape[0]):
         logits[..., t : t + 1, :], state = step_batch(net, xs[t : t + 1], state)
-    return classify(logits)
+    return softmax(logits, out=logits)
 
 
 def init_network(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lstmens import (BaseLearner, Ensemble, LabeledSequence, LstmNetwork, bagging, ensembles,
-                     infer_stream, init_network)
+                     infer_stream, init_network, network)
 from lstmens.rng import Rng
 from lstmens.training import LossKind, bptt_frame, random_check_frame
 
@@ -75,6 +75,22 @@ def test_counted_names_are_the_ones_the_kernel_calls(tracer_module):
     assert counts["network.step_batch"] == 5 + 6
     assert counts["mathkit.sigmoid"] == net.num_layers * counts["network.step_batch"]
     assert counts["rng.uniform_block"] == 1
+
+
+def test_step_is_one_counted_kernel_call(tracer_module):
+    # the stream workload's check loop calls `network.step`; its per-layer
+    # counts and reference probes hang on the `step_batch` that step looks up
+    # in its module, so a local alias there would silently drop them
+    net = init_network(3, 4, 2, num_layers=3, rng=Rng(5))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        network.step(net, np.zeros(3), net.zero_state())  # the patched name
+    finally:
+        tracer.restore()
+    assert tracer.counts["network.step_batch"] == 1
+    assert tracer.counts["mathkit.sigmoid"] == net.num_layers
+    assert [span[0] for span in tracer.spans] == ["network.step"]
 
 
 def test_ensemble_infer_is_one_kernel_step_per_sample(tracer_module):

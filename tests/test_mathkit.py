@@ -54,6 +54,21 @@ def test_sigmoid_is_the_textbook_form_bit_for_bit():
         assert np.array_equal(block[:, col].view(np.uint64), v.view(np.uint64))
 
 
+def test_nonlinearities_take_scalars_as_one_element_arrays():
+    # a Python float, a 0-d array and a one-element list give the textbook
+    # value of the one-element array; out may be a 0-d array
+    below_one = np.nextafter(1.0, 0.0)
+    for x in (0.5, -3.25, 0.0, 800.0):
+        tanh = np.clip(np.tanh([x]), -below_one, below_one)
+        for f, want in ((sigmoid, _textbook_sigmoid(np.array([x]))), (tanh_vec, tanh)):
+            assert np.float64(f(x)).tobytes() == want[0].tobytes()
+            assert np.float64(f(np.array(x))).tobytes() == want[0].tobytes()
+            assert f([x]).tobytes() == want.tobytes()
+            out = np.empty(())
+            f(np.array(x), out=out)
+            assert out.tobytes() == want[0].tobytes()
+
+
 @given(st.lists(finite_floats, min_size=1, max_size=20))
 def test_sigmoid_open_range(values):
     out = sigmoid(np.array(values))
@@ -156,6 +171,20 @@ def test_softmax_is_the_textbook_form_bit_for_bit():
     assert softmax([0.5, -1.0]).tobytes() == pair.tobytes()
     assert softmax(np.float32([0.5, -1.0])).dtype == np.float64
     assert softmax(0.5) == 1.0
+
+
+def test_softmax_out_may_be_the_input():
+    # in place into the input, or into another array, gives the copying
+    # call's bytes and returns out
+    x = Rng(9).normal_block(3 * 20 * 9).reshape(3, 20, 9) * 40.0
+    for axis in (-1, 0):
+        want = softmax(x, axis=axis)
+        other = np.empty_like(x)
+        assert softmax(x, axis=axis, out=other) is other
+        assert other.tobytes() == want.tobytes()
+        block = x.copy()
+        assert softmax(block, axis=axis, out=block) is block
+        assert block.tobytes() == want.tobytes()
 
 
 def test_log_softmax_matches_log_of_softmax_in_safe_range():

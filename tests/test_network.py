@@ -19,15 +19,19 @@ def zero_net(d=2, h=3, k=2, layers=1):
 
 def test_step_zero_parameters_fixed_point():
     net = zero_net()
-    logits, state, cache = step(net, np.array([0.7, -1.3]), net.zero_state())
+    x, state = np.array([0.7, -1.3]), net.zero_state()
+    logits, new_state, none = step(net, x, state)
+    cache = []
+    step_batch(net, x, state, cache=cache)  # the gates of the same 1-D step
     layer = cache[0]
-    assert np.array_equal(layer["f"][0], np.full(3, 0.5))
-    assert np.array_equal(layer["i"][0], np.full(3, 0.5))
-    assert np.array_equal(layer["o"][0], np.full(3, 0.5))
-    assert np.array_equal(layer["g"][0], np.zeros(3))
-    assert np.array_equal(state.c[0], np.zeros(3))
-    assert np.array_equal(state.h[0], np.zeros(3))
+    assert np.array_equal(layer["f"], np.full(3, 0.5))
+    assert np.array_equal(layer["i"], np.full(3, 0.5))
+    assert np.array_equal(layer["o"], np.full(3, 0.5))
+    assert np.array_equal(layer["g"], np.zeros(3))
+    assert np.array_equal(new_state.c[0], np.zeros(3))
+    assert np.array_equal(new_state.h[0], np.zeros(3))
     assert np.array_equal(logits, np.zeros(2))
+    assert none is None
 
 
 def test_step_gate_ranges_random_sweep():
@@ -39,13 +43,37 @@ def test_step_gate_ranges_random_sweep():
         state = net.zero_state()
         state.h[0] = np.tanh(rng.normal_block(5))
         state.c[0] = rng.normal_block(5)
-        logits, new_state, cache = step(net, x, state)
+        logits, new_state, _ = step(net, x, state)
+        cache = []
+        step_batch(net, x, state, cache=cache)
         gates = cache[0]
         for name in ("f", "i", "o"):
             assert np.all(gates[name] > 0.0) and np.all(gates[name] < 1.0)
         assert np.all(np.abs(gates["g"]) < 1.0)
         assert np.all(np.abs(new_state.h[0]) < 1.0)
         assert np.all(np.isfinite(logits))
+
+
+def test_step_leaves_the_carried_state_alone():
+    # step runs the kernel on the caller's (H,) arrays unwrapped: it must
+    # not write into them, and must hand back fresh (H,) arrays, so a state
+    # kept by the caller (two members, a replay) is never changed under it
+    rng = Rng(13)
+    net = init_network(3, 5, 2, num_layers=3, rng=rng)
+    state = net.zero_state()
+    state.h = [np.tanh(rng.normal_block(5)) for _ in range(3)]
+    state.c = [rng.normal_block(5) for _ in range(3)]
+    before = [a.tobytes() for a in state.h + state.c]
+    for _ in range(3):
+        x = rng.normal_block(3)
+        logits, new_state, _ = step(net, x, state)
+        assert [a.tobytes() for a in state.h + state.c] == before
+        assert logits.shape == (2,)
+        for a in new_state.h + new_state.c:
+            assert a.shape == (5,)
+            assert not any(np.shares_memory(a, b) for b in state.h + state.c)
+        again, _, _ = step(net, x, state)
+        assert again.tobytes() == logits.tobytes()
 
 
 def test_step_memory_cell_preserved_under_saturated_gates():
@@ -95,12 +123,15 @@ def test_infer_stream_empty():
 def test_infer_stream_equals_manual_stepping():
     # infer_stream takes one softmax over the stream's logits; each row must
     # be bitwise each sample's own classify, for one network and for a stack,
-    # also at K >= 8, where numpy sums a row pairwise in unrolled blocks
-    for k in (3, 2, 8, 9, 17):
+    # also at K >= 8, where numpy sums a row pairwise in unrolled blocks; and
+    # step's (H,) vector products must round as infer_stream's (1, H) rows,
+    # also at the paper's 2x256 and with three layers
+    shapes = [(6, k, 2) for k in (3, 2, 8, 9, 17)] + [(256, 4, 2), (7, 5, 3)]
+    for hidden, k, layers in shapes:
         rng = Rng(9)
-        nets = [init_network(4, 6, k, num_layers=2, rng=rng)]
+        nets = [init_network(4, hidden, k, num_layers=layers, rng=rng)]
         xs = rng.normal_block(4 * 25).reshape(25, 4)
-        nets += [init_network(4, 6, k, num_layers=2, rng=rng) for _ in range(2)]
+        nets += [init_network(4, hidden, k, num_layers=layers, rng=rng) for _ in range(2)]
         stacked = infer_stream(LstmNetwork(np.stack([n.flat for n in nets]), nets[0].shape), xs)
         for j, net in enumerate(nets):
             whole = infer_stream(net, xs)
