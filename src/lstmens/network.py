@@ -42,6 +42,12 @@ through all M members of an ensemble in lockstep. numpy's stacked matmul
 makes the same per-member BLAS call as the 2-D product, so a stacked
 member's output is bit-identical to the member run alone, and streaming
 one sample at a time is bit-identical to whole-sequence inference.
+
+At full scale the recurrent products h @ Wh of a step, which need only the
+carried state, run on a helper thread (lstmens.overlap) while this thread
+works up the layers; each is still added as `a += h @ Wh`, so the bytes do
+not depend on where it ran. Small products (desk scale, one streamed 2x32
+sample) never leave the calling thread.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import overlap
 from .mathkit import sigmoid, softmax, tanh_vec
 from .rng import Rng
 
@@ -213,20 +220,32 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
     connection only; the recurrent h path stays unmasked. Returns (logits
     (B, K), new_state). When `cache` is a list, one dict of intermediates
     per layer is appended for the backward pass; its z is the gate-major
-    (4, B, H) activation block and f, i, o and g are its C-contiguous rows.
+    (4, B, H) activation block, whose C-contiguous rows are f, i, o and g.
     For a stacked network ((M, P) flat) the state arrays and the results
     carry the member axis in front, (M, B, ...); x may be shared, (B, D).
+
+    When one recurrent product h_prev @ wh has at least overlap.MIN_MACS
+    multiply-adds and a helper thread runs (lstmens.overlap), all layers'
+    recurrent products are handed to it at the start of the step, while
+    this thread computes each layer's input product; the results are the
+    same bytes as computing them here.
     """
     inp = x
     # per layer, inp @ wx + h_prev @ wh + b is accumulated in place, (..., B, 4H)
     # like h, then gate-major (4, ..., B, H), copied if B > 1: each gate a row of z
     lead = state.h[0].ndim - 1
     split, gate_major = (*state.h[0].shape[:-1], 4, net.hidden_dim), (lead, *range(lead), lead + 1)
+    # above overlap.MIN_MACS, every layer's recurrent product, which needs only
+    # the carried state, goes to the helper thread now and is added where its
+    # layer needs it; below, the products run here, as the same statement
+    rec = None
+    if state.h[0].size * 4 * split[-1] >= overlap.MIN_MACS and overlap.ready():
+        rec = [overlap.submit(np.matmul, h, layer.wh) for h, layer in zip(state.h, net.layers)]
     new = LstmState([], [])
     for idx, layer in enumerate(net.layers):
         h_prev, c_prev = state.h[idx], state.c[idx]
         a = inp @ layer.wx
-        a += h_prev @ layer.wh
+        a += h_prev @ layer.wh if rec is None else overlap.wait(rec[idx])
         a += layer.b
         z = np.ascontiguousarray(a.reshape(split).transpose(gate_major))
         sigmoid(z[:3], out=z[:3])
@@ -239,21 +258,8 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
         mask = None if masks is None else masks[idx]
         up = h if mask is None else h * mask
         if cache is not None:
-            cache.append(
-                {
-                    "z": z,
-                    "x_in": inp,
-                    "h_prev": h_prev,
-                    "c_prev": c_prev,
-                    "f": f,
-                    "i": i,
-                    "g": g,
-                    "o": o,
-                    "tc": tc,
-                    "mask": mask,
-                    "up": up,
-                }
-            )
+            cache.append({"z": z, "x_in": inp, "h_prev": h_prev, "c_prev": c_prev,
+                          "tc": tc, "mask": mask, "up": up})
         new.h.append(h)
         new.c.append(c)
         inp = up

@@ -10,6 +10,10 @@ timestep, applied to feed-forward connections only (the recurrent h path is
 never masked). Mask values are 0 or 1/(1-p), so the masked activation equals
 the unmasked one in expectation and p=0 reproduces the inference forward
 pass bit for bit.
+
+At full scale the backward pass hands each layer-step's weight-gradient
+products to a helper thread (lstmens.overlap), one task at a time in the
+inline order, so gradients are the same bytes wherever they were computed.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import overlap
 from .mathkit import log_softmax, softmax
 from .network import LstmNetwork, LstmState, step_batch
 from .rng import Rng
@@ -171,6 +176,13 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
     input/recurrent gradients 2 more. Accumulation order is fixed (reverse
     time, top layer down, streams summed inside the matrix products), so
     results are bitwise reproducible.
+
+    When the recurrent weight-gradient product (H x B x 4H multiply-adds)
+    reaches overlap.MIN_MACS and a helper thread runs (lstmens.overlap), each
+    layer-step's two weight-gradient products are one task for the helper,
+    overlapping this thread's input and recurrent gradient products. At most
+    one task is outstanding, so the accumulation order, and every byte of
+    the result, is the inline one; an exception a task raises is raised here.
     """
     length, batch, k = dlogits.shape
     hidden = net.hidden_dim
@@ -187,6 +199,10 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
     dh_rec = [np.zeros((batch, hidden)) for _ in range(n_layers)]
     dc_rec = [np.zeros((batch, hidden)) for _ in range(n_layers)]
     dz = np.empty((4, batch, hidden))
+    # above overlap.MIN_MACS, each layer-step's weight gradients are one
+    # helper task, at most one outstanding, so they accumulate in this order
+    offload = batch * hidden * 4 * hidden >= overlap.MIN_MACS and overlap.ready()
+    pending = None
     for t in reversed(range(length)):
         dup = dup_top[t]
         for idx in reversed(range(n_layers)):
@@ -205,15 +221,29 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
             dz[:3] *= z[:3]
             dz[:3] *= 1.0 - z[:3]
             np.multiply(dc * i, 1.0 - g * g, out=dz[3])
-            da = dz.transpose(1, 0, 2).reshape(batch, 4 * hidden)  # a copy, (B, 4H)
-            glayer.wx += cc["x_in"].T @ da
-            glayer.wh += cc["h_prev"].T @ da
+            da = dz.transpose(1, 0, 2).reshape(batch, 4 * hidden)  # (B, 4H), a copy if B > 1
+            if not offload:
+                glayer.wx += cc["x_in"].T @ da
+                glayer.wh += cc["h_prev"].T @ da
+            else:
+                if pending is not None:
+                    overlap.wait(pending)
+                pending = overlap.submit(_add_weight_grads, glayer, cc["x_in"], cc["h_prev"], da)
+                dz = np.empty_like(dz)  # at B = 1 da is a view of dz, which the task reads
             glayer.b += da.sum(axis=0)
             if idx > 0:  # layer 0's input gradient would flow into the data
                 dup = da @ layer.wx.T
             dh_rec[idx] = da @ layer.wh.T
             dc_rec[idx] = dc * f
+    if pending is not None:
+        overlap.wait(pending)
     return gnet
+
+
+def _add_weight_grads(glayer, x_in, h_prev, da) -> None:
+    """backward_frame's weight-gradient statements, as one helper task."""
+    glayer.wx += x_in.T @ da
+    glayer.wh += h_prev.T @ da
 
 
 def bptt_frame(net: LstmNetwork, frame: FrameBatch, loss: LossKind,

@@ -10,13 +10,15 @@ fail in the ordinary suite. perfbench is read, never written.
 
 import importlib
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lstmens import (BaseLearner, Ensemble, LabeledSequence, LstmNetwork, bagging, ensembles,
-                     infer_stream, init_network, network)
+from lstmens import (BaggingConfig, BaseLearner, Ensemble, LabeledSequence, LstmNetwork,
+                     bagging, ensembles, infer_stream, init_network, network, overlap,
+                     synth_har, training)
 from lstmens.rng import Rng
 from lstmens.training import LossKind, bptt_frame, random_check_frame
 
@@ -155,3 +157,51 @@ def test_stream_workload_has_no_failed_check(perfbench_import, tmp_path):
     assert ledger.failed == 0, ledger.errors
     assert workloads.EXPECTED_SPANS["stream"] <= set(tracer.summary())
     assert workloads.EXPECTED_COUNTS <= set(tracer.counts)
+
+
+def test_traced_and_hooked_calls_stay_on_the_calling_thread(perfbench_import, monkeypatch):
+    # the tracer keeps one span stack and `ticking` runs reference probes from
+    # its hooks, so with every product handed to the helper thread, each call
+    # of a traced or hooked name, and each probe, must still come from here
+    tracer_module, workloads = perfbench_import("tracer"), perfbench_import("workloads")
+    monkeypatch.setattr(overlap, "MIN_MACS", 0)
+    if not overlap.ready():
+        pytest.skip("no helper thread on this machine")
+    submit, handed = overlap.submit, []
+    monkeypatch.setattr(overlap, "submit", lambda *a: handed.append(a) or submit(*a))
+    threads = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            threads.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = [(network, "step_batch"), (training, "step_batch"), (network, "sigmoid"),
+             (bagging, "infer_stream"), (ensembles, "infer_stream"),
+             (training, "backward_frame")]
+    data = synth_har(3, 2, 400, "balanced", snr=4.0, seed=0)
+    cfg = BaggingConfig(b_low=2, b_high=4, l_low=4, l_high=8, max_epoch=2, seed=1)
+    tracer = tracer_module.Tracer()
+    meter = workloads.RefMeter(workloads.WORKLOAD_UNITS["full"])
+    meter.probe = recorded("probe", tracer.exclude(meter.probe))
+    tracer.install()
+    try:
+        with workloads.ticking(meter):
+            saved = [(mod, name, getattr(mod, name)) for mod, name in names]
+            for mod, name, fn in saved:
+                setattr(mod, name, recorded(name, fn))
+            try:
+                learners = bagging.run_bagging(data.slice(0, 300), data.slice(300, 400), cfg,
+                                               hidden_dim=4, num_layers=2)
+                ensembles.ensemble_infer(Ensemble(learners), data.X.T[:30])
+                network.step(learners[0].net, data.X[:, 0], learners[0].net.zero_state())
+            finally:
+                for mod, name, fn in saved:
+                    setattr(mod, name, fn)
+    finally:
+        tracer.restore()
+    assert handed
+    assert {name for name, _ in threads} == {name for _, name in names} | {"probe"}
+    assert {ident for _, ident in threads} == {threading.get_ident()}
+    assert tracer.counts["network.step_batch"] > 0

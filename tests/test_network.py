@@ -23,11 +23,11 @@ def test_step_zero_parameters_fixed_point():
     logits, new_state, none = step(net, x, state)
     cache = []
     step_batch(net, x, state, cache=cache)  # the gates of the same 1-D step
-    layer = cache[0]
-    assert np.array_equal(layer["f"], np.full(3, 0.5))
-    assert np.array_equal(layer["i"], np.full(3, 0.5))
-    assert np.array_equal(layer["o"], np.full(3, 0.5))
-    assert np.array_equal(layer["g"], np.zeros(3))
+    f, i, o, g = cache[0]["z"]
+    assert np.array_equal(f, np.full(3, 0.5))
+    assert np.array_equal(i, np.full(3, 0.5))
+    assert np.array_equal(o, np.full(3, 0.5))
+    assert np.array_equal(g, np.zeros(3))
     assert np.array_equal(new_state.c[0], np.zeros(3))
     assert np.array_equal(new_state.h[0], np.zeros(3))
     assert np.array_equal(logits, np.zeros(2))
@@ -46,10 +46,10 @@ def test_step_gate_ranges_random_sweep():
         logits, new_state, _ = step(net, x, state)
         cache = []
         step_batch(net, x, state, cache=cache)
-        gates = cache[0]
-        for name in ("f", "i", "o"):
-            assert np.all(gates[name] > 0.0) and np.all(gates[name] < 1.0)
-        assert np.all(np.abs(gates["g"]) < 1.0)
+        f, i, o, g = cache[0]["z"]
+        for gate in (f, i, o):
+            assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        assert np.all(np.abs(g) < 1.0)
         assert np.all(np.abs(new_state.h[0]) < 1.0)
         assert np.all(np.isfinite(logits))
 
@@ -323,10 +323,11 @@ def test_step_batch_caches_contiguous_gate_rows(members, batch):
         cols = [a[..., k * 5:(k + 1) * 5] for k in range(4)]
         want = dict(zip("fio", map(sigmoid, cols[:3])), g=tanh_vec(cols[3]))
         want["tc"] = tanh_vec(want["f"] * state.c[idx] + want["i"] * want["g"])
+        got = dict(zip("fiog", cc["z"]), tc=cc["tc"])
         for name, value in want.items():
-            assert cc[name].flags.c_contiguous, (idx, name)
-            assert cc[name].shape == (*net.flat.shape[:-1], batch, 5)
-            assert cc[name].tobytes() == value.tobytes(), (idx, name)
+            assert got[name].flags.c_contiguous, (idx, name)
+            assert got[name].shape == (*net.flat.shape[:-1], batch, 5)
+            assert got[name].tobytes() == value.tobytes(), (idx, name)
         inp = cc["up"]
 
 
