@@ -232,6 +232,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_rate(text: str) -> float:
+    """argparse type of a learning rate, which must be finite and above 0."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return value
+
+
 def _add_schedule_flags(p) -> None:
     """The per-epoch mini-batch size and frame length ranges."""
     for field in ("b_low", "b_high", "l_low", "l_high"):
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epoch", type=int, default=DEFAULTS.max_epoch)
     p.add_argument("--loss", choices=[kind.value.lower() for kind in LossKind], default="ce")
     p.add_argument("--dropout", type=float, default=DEFAULTS.dropout_p)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--lr", type=_positive_rate, default=0.001)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_train)

@@ -43,11 +43,9 @@ makes the same per-member BLAS call as the 2-D product, so a stacked
 member's output is bit-identical to the member run alone, and streaming
 one sample at a time is bit-identical to whole-sequence inference.
 
-At full scale the recurrent products h @ Wh of a step, which need only the
-carried state, run on a helper thread (lstmens.overlap) while this thread
-works up the layers; each is still added as `a += h @ Wh`, so the bytes do
-not depend on where it ran. Small products (desk scale, one streamed 2x32
-sample) never leave the calling thread.
+A step's recurrent products h @ Wh need only the carried state; where
+lstmens.overlap hands them to its helper thread, they run there while this
+thread works up the layers, and the bytes do not depend on where they ran.
 """
 
 from __future__ import annotations
@@ -224,22 +222,16 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
     For a stacked network ((M, P) flat) the state arrays and the results
     carry the member axis in front, (M, B, ...); x may be shared, (B, D).
 
-    When one recurrent product h_prev @ wh has at least overlap.MIN_MACS
-    multiply-adds and a helper thread runs (lstmens.overlap), all layers'
-    recurrent products are handed to it at the start of the step, while
-    this thread computes each layer's input product; the results are the
-    same bytes as computing them here.
+    Where `overlap.offload` takes them, all layers' recurrent products go to
+    the helper thread at the start of the step, bit for bit as computed here.
     """
     inp = x
     # per layer, inp @ wx + h_prev @ wh + b is accumulated in place, (..., B, 4H)
     # like h, then gate-major (4, ..., B, H), copied if B > 1: each gate a row of z
     lead = state.h[0].ndim - 1
     split, gate_major = (*state.h[0].shape[:-1], 4, net.hidden_dim), (lead, *range(lead), lead + 1)
-    # above overlap.MIN_MACS, every layer's recurrent product, which needs only
-    # the carried state, goes to the helper thread now and is added where its
-    # layer needs it; below, the products run here, as the same statement
     rec = None
-    if state.h[0].size * 4 * split[-1] >= overlap.MIN_MACS and overlap.ready():
+    if overlap.offload(state.h[0].size * 4 * split[-1]):
         rec = [overlap.submit(np.matmul, h, layer.wh) for h, layer in zip(state.h, net.layers)]
     new = LstmState([], [])
     for idx, layer in enumerate(net.layers):

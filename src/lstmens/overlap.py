@@ -8,13 +8,15 @@ recurrent product and `training.backward_frame` each layer-step's weight
 gradients; both keep every product's operands, association and order, so the
 results are bit for bit those of running the products inline.
 
-The helper is one thread, started on first use, and only where
+This module alone decides where a product runs: `offload(macs)` is true when
+a product has at least MIN_MACS multiply-adds and the helper runs. Below
+that, handing one over costs more than it saves, so the kernels run it inline.
+The helper is one thread, started on the first such product, and only where
 `os.sched_setaffinity` exists and the process may run on at least 2 CPUs. It
 then pins the calling thread to the first allowed CPU and itself to the
 second: unpinned, the two threads can share one CPU and nothing overlaps.
 Elsewhere, and in a child forked after the helper started, no thread exists
-and every product runs inline. Products of fewer than MIN_MACS multiply-adds
-always run inline: below that, handing one over costs more than it saves.
+and every product runs inline.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 # multiply-adds of the smallest product handed to the helper. A hand-over
 # costs 15-40 us; timed inline and on the helper (1 BLAS thread, 2 vCPUs),
-# every step_batch and L=24 backward_frame shape below 2^18 ran 1.1-3x slower
-# on the helper, and the crossover lies between 2^18 and 2^20 depending on
-# the shape. 2^18 is the largest value that still hands over full scale's
-# smallest product (a 2x256 B=1 step, 1.02x) and keeps every desk product
-# (at most 82k, a 20-snapshot validation step) inline.
-MIN_MACS = 1 << 18
+# all but one of the step_batch and L=24 backward_frame shapes below 2^19
+# ran 1.03-3x slower on the helper (a 2x256 B=1 step ran 0.91-1.03x), and
+# every step_batch shape at 2^19 ran faster. Full scale's training and its
+# stacked (M >= 2) inference hand over; a lone 2x256 step and every desk
+# product stay inline.
+MIN_MACS = 1 << 19
 
 _helper: ThreadPoolExecutor | bool | None = None  # None: not tried yet
 _start = threading.Lock()
@@ -53,8 +55,13 @@ def ready() -> ThreadPoolExecutor | bool:
     return _helper
 
 
+def offload(macs: int) -> bool:
+    """Whether a product of `macs` multiply-adds goes to the helper."""
+    return macs >= MIN_MACS and bool(ready())
+
+
 def submit(fn, *args):
-    """Queue fn(*args) on the helper (`ready()` must be true); returns the
+    """Queue fn(*args) on the helper (`offload` must be true); returns the
     task for `wait`. Tasks run one at a time, first in, first out."""
     return _helper.submit(fn, *args), fn, args
 

@@ -299,6 +299,20 @@ def test_train_bad_option_writes_nothing(flag, value, dataset, tmp_path, capsys)
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.001"])
+def test_train_lr_must_be_finite_and_positive(value, dataset, tmp_path, capsys):
+    # nan and inf used to fail on non-finite activations after norm_stats.csv
+    # was written; 0 trained parameters that never moved, and a negative rate
+    # trained by gradient ascent
+    outdir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", str(dataset), "--outdir", str(outdir), "--lr", value]
+             + TRAIN_SMALL)
+    assert exc.value.code == 2
+    assert not outdir.exists()
+    assert f"argument --lr: must be finite and above 0, got {value}" in capsys.readouterr().err
+
+
 def test_coverage_small(capsys):
     code, out, _ = run_cli(
         ["coverage", "--t", "20000", "--epochs", "20", "--seed", "1"], capsys

@@ -1,6 +1,7 @@
-"""The helper thread (lstmens.overlap): with every product handed to it, the
-kernels give the same bytes as inline; failures surface; no thread starts
-where none can run, in a forked child, or at desk scale."""
+"""The helper thread (lstmens.overlap): `overlap.offload` alone decides which
+products go to it, full-scale shapes go and small ones stay; with every product
+handed to it, the kernels give the same bytes as inline; failures surface; no
+thread starts where none can run, in a forked child, or at desk scale."""
 
 import os
 import subprocess
@@ -28,12 +29,18 @@ needs_two_cpus = pytest.mark.skipif(
 
 
 @pytest.fixture
-def both_ways(monkeypatch):
+def tasks(monkeypatch):
+    """Every task handed to the helper from here on, as (fn, *args)."""
+    seen = []
+    submit = overlap.submit
+    monkeypatch.setattr(overlap, "submit", lambda *a: seen.append(a) or submit(*a))
+    return seen
+
+
+@pytest.fixture
+def both_ways(monkeypatch, tasks):
     """run(fn) -> (fn() inline, fn() with every product on the helper); the
     helper path must hand over at least one task."""
-    tasks = []
-    submit = overlap.submit
-    monkeypatch.setattr(overlap, "submit", lambda *a: tasks.append(a) or submit(*a))
 
     def run(fn):
         monkeypatch.setattr(overlap, "MIN_MACS", INLINE)
@@ -55,6 +62,52 @@ def _bytes(*arrays) -> list[bytes]:
 
 def _state_bytes(state) -> list[bytes]:
     return _bytes(*state.h, *state.c)
+
+
+@needs_two_cpus
+def test_full_scale_hands_over_and_a_lone_step_does_not(tasks):
+    rng = Rng(11)
+    nets = [init_network(6, 256, 4, num_layers=2, rng=rng) for _ in range(2)]
+    x = rng.normal_block(6)
+    step(nets[0], x, nets[0].zero_state())  # 256 x 1024 multiply-adds per product
+    assert not tasks
+    ens = Ensemble([BaseLearner(net, j, LossKind.CE, 0.5) for j, net in enumerate(nets)])
+    ensemble_infer(ens, x.reshape(1, 6))  # two members' products as one: 2^19
+    assert {task[0] for task in tasks} == {np.matmul}
+    tasks.clear()
+    bptt_frame(nets[0], random_check_frame(nets[0], Rng(12), length=2, batch=128), LossKind.CE)
+    assert {task[0] for task in tasks} == {np.matmul, training._add_weight_grads}
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("forced", [True, False])
+def test_offload_alone_decides(monkeypatch, tasks, forced):
+    net = init_network(4, 6, 3, num_layers=2, rng=Rng(13))
+    frame = random_check_frame(net, Rng(14), length=5, batch=3)
+    dlogits = Rng(15).normal_block(5 * 3 * 3).reshape(5, 3, 3)
+    xs = Rng(16).normal_block(10 * 4).reshape(10, 4)
+
+    def run():  # the bytes of a forward, a backward and a stream; the task count after each
+        logits, state, caches = forward_frame(net, frame.inputs, frame.state)
+        counts = [len(tasks)]
+        grads = backward_frame(net, caches, dlogits)
+        counts.append(len(tasks))
+        probs = infer_stream(net, xs)
+        counts.append(len(tasks))
+        return _bytes(logits, grads.flat, probs) + _state_bytes(state), counts
+
+    inline, counts = run()  # 2x6 products stay inline under the real MIN_MACS
+    assert counts == [0, 0, 0]
+    assert overlap.ready()
+    # MIN_MACS says the opposite of offload, which must win
+    monkeypatch.setattr(overlap, "MIN_MACS", INLINE if forced else 0)
+    monkeypatch.setattr(overlap, "offload", lambda macs: forced)
+    out, counts = run()
+    assert out == inline
+    if forced:
+        assert 0 < counts[0] < counts[1] < counts[2]
+    else:
+        assert counts == [0, 0, 0]
 
 
 @needs_two_cpus
