@@ -40,7 +40,6 @@ def _echo_header(args: argparse.Namespace) -> None:
 
 
 def cmd_synth(args) -> int:
-    _echo_header(args)
     seq = data.synth_har(args.d, args.k, args.t, args.regime, args.snr, args.seed)
     data.save_csv(seq, args.out)
     sidecar = {
@@ -60,7 +59,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _echo_header(args)
     seq = data.load_csv(args.data, data.CsvSchema(num_classes=args.k, label_col=args.label_col))
     fractions = tuple(float(f) for f in args.split.split(","))
     train, val, _ = data.holdout_split(seq, *data.fraction_ranges(seq.num_samples, fractions))
@@ -100,7 +98,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    _echo_header(args)
     runs = [bagging.load_learners(path) for path in args.manifest]
     for path, n in zip(args.manifest, map(len, runs)):
         if not 1 <= args.m <= n:
@@ -112,7 +109,6 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    _echo_header(args)
     ens = ensembles.load_ensemble(args.ensemble)
     d, k = ens.members[0].net.input_dim, ens.members[0].net.num_classes
     schema = data.CsvSchema(num_classes=k, label_col=args.label_col)
@@ -146,7 +142,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _echo_header(args)
     (header_no, header), rows, (preds, labels) = data.read_csv_columns(
         args.pred, ("pred", "label"), (int, int))
     probs = [name for name in header if name.startswith("p_")]
@@ -178,7 +173,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _echo_header(args)
     print("seed,loss,tensor,max_rel_error,ok")
     worst = 0.0
     failed = False
@@ -198,7 +192,6 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    _echo_header(args)
     cfg = bagging.BaggingConfig(
         b_low=args.b_low, b_high=args.b_high, l_low=args.l_low, l_high=args.l_high,
         max_epoch=1, seed=args.seed,
@@ -323,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _echo_header(args)
         return args.func(args)
     except BrokenPipeError:
         return 1

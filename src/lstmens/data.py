@@ -403,6 +403,8 @@ def synth_har(num_channels: int, num_classes: int, length: int,
         raise ValueError(f"unknown regime {regime!r}")
     if length < 2:
         raise ValueError("length must be >= 2")
+    if not snr > 0:  # a NaN snr fails too; inf is noiseless
+        raise ValueError(f"snr must be above 0, got {snr}")
     rng = Rng(seed)
 
     # class/channel signatures

@@ -1,4 +1,4 @@
-"""Multi-layer LSTM network: parameters, per-sample forward pass, inference.
+"""Multi-layer LSTM network: parameters, the forward step and frame loop, inference.
 
 Weight layout: each layer stores its gates fused, as wx (D_in x 4H), wh
 (H x 4H) and b (4H), with the gate column blocks in the order [f, i, o, g];
@@ -34,14 +34,16 @@ Per timestep and layer, with sigmoid s and previous (h, c):
 
 The last layer's hidden state feeds a linear head: logits = h' @ W + b.
 
-There is one kernel, `step_batch`. Everything is batch-first (B, feature),
-and a stacked network adds the member axis in front ((M, B, feature)), so
-the same body advances B training streams, one streamed sample (bare (D,)
-and (H,) vectors, whose products round as (1, n) rows do), or one sample
-through all M members of an ensemble in lockstep. numpy's stacked matmul
-makes the same per-member BLAS call as the 2-D product, so a stacked
-member's output is bit-identical to the member run alone, and streaming
-one sample at a time is bit-identical to whole-sequence inference.
+There is one kernel, `step_batch`, and one loop over timesteps around it,
+`forward_frame`, which runs a training frame and an `infer_stream` stream.
+Everything is batch-first (B, feature), and a stacked network adds the
+member axis in front ((M, B, feature)), so the same body advances B
+training streams, one streamed sample (bare (D,) and (H,) vectors, whose
+products round as (1, n) rows do), or one sample through all M members of
+an ensemble in lockstep. numpy's stacked matmul makes the same per-member
+BLAS call as the 2-D product, so a stacked member's output is
+bit-identical to the member run alone, and streaming one sample at a time
+is bit-identical to whole-sequence inference.
 
 A step's recurrent products h @ Wh need only the carried state; where
 lstmens.overlap hands them to its helper thread, they run there while this
@@ -277,6 +279,26 @@ def step(net: LstmNetwork, x: np.ndarray, state: LstmState):
     return (*step_batch(net, x, state), None)
 
 
+def forward_frame(net, inputs: np.ndarray, state: LstmState, masks=None, caches=None):
+    """The one loop over timesteps: L steps of B streams, for a training
+    frame and for `infer_stream` alike.
+
+    inputs: (L, B, D); state: (B, H) per layer; masks: (L, num_layers, B, H)
+    or None. Returns (logits (L, B, K), new_state), with the member axis in
+    front for a stacked network. When `caches` is a list, each timestep
+    appends its list of per-layer intermediates (`step_batch`'s cache).
+    """
+    length, batch, _ = inputs.shape
+    logits = np.empty((*net.flat.shape[:-1], length, batch, net.num_classes))
+    for t in range(length):
+        cache = None if caches is None else []
+        logits[..., t, :, :], state = step_batch(net, inputs[t], state,
+                                                 None if masks is None else masks[t], cache)
+        if caches is not None:
+            caches.append(cache)
+    return logits, state
+
+
 def classify(logits: np.ndarray) -> np.ndarray:
     """Class probabilities along the last axis: one sample's (K,) logits, or a
     block of rows such as a stream's (T, K), each row bit for bit as alone."""
@@ -288,12 +310,13 @@ def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
 
     xs: (T, D) array or iterable of (D,) vectors, validated once up front
     (width, finiteness; the first bad row is named). Returns the (T, K)
-    array of per-sample class probabilities, or (M, T, K) for a stacked
-    network, whose members advance in lockstep: one `step_batch` call per
-    sample. No dropout on this path. Each sample's row product rounds like
-    `step`'s vector product, and one softmax over the stream's logits,
-    in place, equals classifying each sample's, so feeding the stream one
-    sample at a time with an externally carried state is bit-identical.
+    array of per-sample class probabilities, or (M, T, K) from a stacked
+    network, whose members advance in lockstep: the stream is one
+    `forward_frame` of T steps over B = 1, without dropout. Each sample's
+    row product rounds like `step`'s vector product, and one softmax over
+    the stream's logits, in place, equals classifying each sample's, so
+    feeding the stream one sample at a time with an externally carried
+    state is bit-identical.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.size == 0:
@@ -305,10 +328,8 @@ def infer_stream(net: LstmNetwork, xs) -> np.ndarray:
     bad = ~np.isfinite(xs).all(axis=1)
     if bad.any():
         raise ValueError(f"infer_stream: non-finite input sample at row {int(bad.argmax())}")
-    state = net.zero_state(1)
-    logits = np.empty((*net.flat.shape[:-1], xs.shape[0], net.num_classes))
-    for t in range(xs.shape[0]):
-        logits[..., t : t + 1, :], state = step_batch(net, xs[t : t + 1], state)
+    logits, _ = forward_frame(net, xs[:, None], net.zero_state(1))
+    logits = logits.reshape(*logits.shape[:-2], net.num_classes)
     return softmax(logits, out=logits)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import overlap
 from .mathkit import log_softmax, softmax
-from .network import LstmNetwork, LstmState, step_batch
+from .network import LstmNetwork, LstmState, forward_frame, step_batch  # noqa: F401 -- perfbench/tracer.py counts step_batch
 from .rng import Rng
 
 
@@ -124,7 +124,7 @@ _LOSS_GRADS = {LossKind.CE: _ce_grad, LossKind.F1: _f1_grad}
 
 
 # ---------------------------------------------------------------------------
-# frame forward / backward
+# dropout masks, frame backward
 
 
 def draw_dropout_masks(rng: Rng, num_layers: int, length: int, batch: int,
@@ -145,24 +145,6 @@ def draw_dropout_masks(rng: Rng, num_layers: int, length: int, batch: int,
     # in place: a second frame-sized array costs its page faults (~2x here)
     np.multiply(masks >= dropout_p, scale, out=masks)
     return masks.reshape(length, num_layers, batch, hidden)
-
-
-def forward_frame(net: LstmNetwork, inputs: np.ndarray, state: LstmState, masks=None):
-    """Run L timesteps over B streams.
-
-    inputs: (L, B, D); state: (B, H) per layer; masks: (L, num_layers, B, H)
-    or None. Returns (logits (L, B, K), new_state, caches) where caches[t]
-    is the per-layer intermediates list for timestep t.
-    """
-    length, batch, _ = inputs.shape
-    logits = np.empty((length, batch, net.num_classes))
-    caches = []
-    for t in range(length):
-        cache_t: list[dict] = []
-        logits[t], state = step_batch(net, inputs[t], state,
-                                      None if masks is None else masks[t], cache_t)
-        caches.append(cache_t)
-    return logits, state, caches
 
 
 def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork:
@@ -254,7 +236,8 @@ def bptt_frame(net: LstmNetwork, frame: FrameBatch, loss: LossKind,
     masks = draw_dropout_masks(
         rng, net.num_layers, length, batch, net.hidden_dim, dropout_p
     )
-    logits, new_state, caches = forward_frame(net, frame.inputs, frame.state, masks)
+    caches = []
+    logits, new_state = forward_frame(net, frame.inputs, frame.state, masks, caches)
     if not np.all(np.isfinite(logits)):
         bad = np.where(~np.isfinite(logits).all(axis=(0, 2)))[0]
         raise FloatingPointError(

@@ -101,6 +101,38 @@ def test_readme_command_parses(argv):
     assert build_parser().parse_args(argv).command == argv[0]
 
 
+def _tiny_commands(tmp_path):
+    """A tiny argv per subcommand; the first five run in order, each reading
+    what the ones before it wrote."""
+    data, run, ens, pred = (str(tmp_path / n) for n in ("data.csv", "run", "ens.csv", "pred.csv"))
+    return {
+        "synth": SYNTH + ["--out", data],
+        "train": ["train", "--data", data, "--outdir", run] + TRAIN_SMALL,
+        "fuse": ["fuse", "--manifest", os.path.join(run, "manifest.csv"), "--m", "1",
+                 "--out", ens],
+        "infer": ["infer", "--ensemble", ens, "--data", data, "--out", pred],
+        "eval": ["eval", "--pred", pred, "--outdir", str(tmp_path / "eval")],
+        "gradcheck": ["gradcheck", "--seeds", "1", "--seed", "4"],
+        "coverage": ["coverage", "--t", "20000", "--epochs", "1", "--seed", "5"],
+    }
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "fuse", "infer", "eval",
+                                     "gradcheck", "coverage"])
+def test_every_command_prints_the_header_first_and_once(command, tmp_path, capsys):
+    commands = _tiny_commands(tmp_path)
+    pipeline = list(commands)[:5]
+    for before in pipeline[: pipeline.index(command)] if command in pipeline else []:
+        assert main(commands[before]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(commands[command], capsys)
+    assert code == 0
+    seed = {"synth": "7", "train": "3", "gradcheck": "4", "coverage": "5"}.get(command, "-")
+    lines = out.splitlines()
+    assert re.fullmatch(rf"# seed={seed} cfg-hash=[0-9a-f]{{12}}", lines[0]), lines[0]
+    assert sum(line.startswith("# seed=") for line in lines) == 1
+
+
 def test_train_fuse_infer_eval_pipeline(dataset, tmp_path, capsys):
     outdir = tmp_path / "run"
     code, out, _ = run_cli(
@@ -311,6 +343,13 @@ def test_train_lr_must_be_finite_and_positive(value, dataset, tmp_path, capsys):
     assert exc.value.code == 2
     assert not outdir.exists()
     assert f"argument --lr: must be finite and above 0, got {value}" in capsys.readouterr().err
+
+
+def test_synth_nan_snr_writes_nothing(tmp_path, capsys):
+    # it used to exit 0 with an all-nan data file and its .meta.json
+    code, _, err = run_cli(SYNTH + ["--snr", "nan", "--out", str(tmp_path / "data.csv")], capsys)
+    assert code == 1 and "snr must be above 0, got nan" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_coverage_small(capsys):

@@ -293,3 +293,7 @@ def test_synth_rejects_bad_args():
         synth_har(3, 1, 100)
     with pytest.raises(ValueError):
         synth_har(3, 3, 100, regime="weird")
+    # nan used to give an all-nan stream, 0 a division by zero, and -1 was accepted
+    for snr in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="snr must be above 0"):
+            synth_har(3, 3, 100, snr=snr)

@@ -3,8 +3,9 @@ import pytest
 
 from lstmens import classify, infer_stream, init_network, step
 from lstmens.mathkit import sigmoid, tanh_vec
-from lstmens.network import LstmNetwork, step_batch
+from lstmens.network import LstmNetwork, LstmState, forward_frame, step_batch
 from lstmens.rng import Rng
+from lstmens.training import draw_dropout_masks
 
 from conftest import tiny_net
 
@@ -301,6 +302,39 @@ def test_stacked_infer_stream_equals_each_member_bitwise():
     for m, net in enumerate(nets):
         assert probs[m].tobytes() == infer_stream(net, xs).tobytes()
     assert infer_stream(_stack(nets), np.empty((0, 4))).shape == (4, 0, 3)
+
+
+def _frame_bytes(logits, state):
+    return [logits.tobytes()] + [a.tobytes() for a in state.h + state.c]
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_stacked_forward_frame_equals_each_member_bitwise(batch):
+    # the stacked frame keeps no caches; each member alone keeps them
+    rng = Rng(15)
+    nets = [init_network(4, 6, 3, num_layers=2, rng=rng) for _ in range(3)]
+    inputs = rng.normal_block(9 * batch * 4).reshape(9, batch, 4)
+    stacked = _stack(nets)
+    logits, state = forward_frame(stacked, inputs, stacked.zero_state(batch))
+    assert logits.shape == (3, 9, batch, 3)
+    for m, net in enumerate(nets):
+        caches = []
+        alone = forward_frame(net, inputs, net.zero_state(batch), caches=caches)
+        member = LstmState([h[m] for h in state.h], [c[m] for c in state.c])
+        assert _frame_bytes(logits[m], member) == _frame_bytes(*alone)
+        assert len(caches) == 9 and all(len(cache) == 2 for cache in caches)
+
+
+def test_forward_frame_caches_change_no_byte():
+    rng = Rng(16)
+    net = init_network(4, 6, 3, num_layers=2, rng=rng)
+    inputs = rng.normal_block(7 * 3 * 4).reshape(7, 3, 4)
+    masks = draw_dropout_masks(rng, 2, 7, 3, 6, 0.3)
+    without = forward_frame(net, inputs, net.zero_state(3), masks)
+    caches = []
+    with_list = forward_frame(net, inputs, net.zero_state(3), masks, caches)
+    assert _frame_bytes(*without) == _frame_bytes(*with_list)
+    assert [cache[1]["mask"].tobytes() for cache in caches] == [m[1].tobytes() for m in masks]
 
 
 @pytest.mark.parametrize("members, batch", [(None, 1), (None, 5), (3, 4)])

@@ -88,7 +88,8 @@ def test_offload_alone_decides(monkeypatch, tasks, forced):
     xs = Rng(16).normal_block(10 * 4).reshape(10, 4)
 
     def run():  # the bytes of a forward, a backward and a stream; the task count after each
-        logits, state, caches = forward_frame(net, frame.inputs, frame.state)
+        caches = []
+        logits, state = forward_frame(net, frame.inputs, frame.state, caches=caches)
         counts = [len(tasks)]
         grads = backward_frame(net, caches, dlogits)
         counts.append(len(tasks))
@@ -120,7 +121,8 @@ def test_frames_are_bitwise_on_the_helper(both_ways, loss, batch):
     dlogits = Rng(3).normal_block(7 * batch * 3).reshape(7, batch, 3)
 
     def frames():
-        logits, state, caches = forward_frame(net, frame.inputs, frame.state, masks)
+        caches = []
+        logits, state = forward_frame(net, frame.inputs, frame.state, masks, caches)
         grads = backward_frame(net, caches, dlogits)
         bptt_grads, bptt_state, value = bptt_frame(net, frame, loss, dropout_p=0.3, rng=Rng(4))
         return (_bytes(logits, grads.flat, bptt_grads.flat, np.array(value))

@@ -155,7 +155,7 @@ def test_states_carry_across_frames():
     net = tiny_net(seed=21)
     inputs = rng.normal_block(8 * 2 * 3).reshape(8, 2, 3)
     targets = np.zeros((8, 2), dtype=int)
-    _, whole_state, _ = forward_frame(net, inputs, net.zero_state(2))
+    _, whole_state = forward_frame(net, inputs, net.zero_state(2), caches=[])
     first = FrameBatch(inputs[:5], targets[:5], net.zero_state(2))
     _, mid_state, _ = bptt_frame(net, first, LossKind.CE)
     second = FrameBatch(inputs[5:], targets[5:], mid_state)
@@ -214,7 +214,7 @@ def test_dropout_zero_is_bitwise_inference_path():
     rng = Rng(30)
     net = init_network(3, 5, 2, num_layers=2, rng=rng)
     inputs = rng.normal_block(4 * 1 * 3).reshape(4, 1, 3)
-    logits_train, _, _ = forward_frame(net, inputs, net.zero_state(1), masks=None)
+    logits_train, _ = forward_frame(net, inputs, net.zero_state(1), masks=None, caches=[])
     state = net.zero_state()
     for t in range(4):
         logits, state, _ = step(net, inputs[t, 0], state)
