@@ -34,7 +34,7 @@ Per timestep and layer, with sigmoid s and previous (h, c):
 
 The last layer's hidden state feeds a linear head: logits = h' @ W + b.
 
-There is one kernel, `step_batch`, and one loop over timesteps around it,
+There is one kernel, `layer_step`, and one loop over timesteps,
 `forward_frame`, which runs a training frame and an `infer_stream` stream.
 Everything is batch-first (B, feature), and a stacked network adds the
 member axis in front ((M, B, feature)), so the same body advances B
@@ -45,9 +45,9 @@ BLAS call as the 2-D product, so a stacked member's output is
 bit-identical to the member run alone, and streaming one sample at a time
 is bit-identical to whole-sequence inference.
 
-A step's recurrent products h @ Wh need only the carried state; where
-lstmens.overlap hands them to its helper thread, they run there while this
-thread works up the layers, and the bytes do not depend on where they ran.
+Where lstmens.overlap takes a frame, `forward_frame` runs the upper half of
+the layers on its helper thread one step behind the lower half (a layer
+wavefront); the bytes do not depend on where a layer-step ran.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import overlap
+from . import mathkit, overlap
 from .mathkit import sigmoid, softmax, tanh_vec
 from .rng import Rng
 
@@ -212,7 +212,7 @@ class LstmNetwork:
 
 
 def step_batch(net, x, state: LstmState, masks=None, cache=None):
-    """One timestep for a batch of streams.
+    """One timestep for a batch of streams: `layer_step` per layer, the head.
 
     x: (B, D) and state per-layer (B, H) arrays, or (D,) and (H,) for one
     sample (`step`). masks, when given, is a per-layer sequence of (B, H)
@@ -223,42 +223,50 @@ def step_batch(net, x, state: LstmState, masks=None, cache=None):
     (4, B, H) activation block, whose C-contiguous rows are f, i, o and g.
     For a stacked network ((M, P) flat) the state arrays and the results
     carry the member axis in front, (M, B, ...); x may be shared, (B, D).
-
-    Where `overlap.offload` takes them, all layers' recurrent products go to
-    the helper thread at the start of the step, bit for bit as computed here.
     """
-    inp = x
-    # per layer, inp @ wx + h_prev @ wh + b is accumulated in place, (..., B, 4H)
-    # like h, then gate-major (4, ..., B, H), copied if B > 1: each gate a row of z
-    lead = state.h[0].ndim - 1
-    split, gate_major = (*state.h[0].shape[:-1], 4, net.hidden_dim), (lead, *range(lead), lead + 1)
-    rec = None
-    if overlap.offload(state.h[0].size * 4 * split[-1]):
-        rec = [overlap.submit(np.matmul, h, layer.wh) for h, layer in zip(state.h, net.layers)]
-    new = LstmState([], [])
-    for idx, layer in enumerate(net.layers):
-        h_prev, c_prev = state.h[idx], state.c[idx]
-        a = inp @ layer.wx
-        a += h_prev @ layer.wh if rec is None else overlap.wait(rec[idx])
-        a += layer.b
-        z = np.ascontiguousarray(a.reshape(split).transpose(gate_major))
-        sigmoid(z[:3], out=z[:3])
-        tanh_vec(z[3], out=z[3])
-        f, i, o, g = z
-        c = f * c_prev
-        c += i * g
-        tc = tanh_vec(c)
-        h = o * tc
-        mask = None if masks is None else masks[idx]
-        up = h if mask is None else h * mask
-        if cache is not None:
-            cache.append({"z": z, "x_in": inp, "h_prev": h_prev, "c_prev": c_prev,
-                          "tc": tc, "mask": mask, "up": up})
-        new.h.append(h)
-        new.c.append(c)
-        inp = up
-    logits = inp @ net.output.w + net.output.b
-    return logits, new
+    logits, h, c = _layers(net, 0, x, state.h, state.c, masks, cache, sigmoid)
+    return logits, LstmState(h, c)
+
+
+def _layers(net, lo, inp, h_prev, c_prev, masks, cache, sig):
+    """Layers lo, lo + 1, ... of one step, one per (h, c) pair given, then the
+    head if they reach the top: (logits or the upward output, h list, c list)."""
+    h, c = [], []
+    for idx, (hp, cp) in enumerate(zip(h_prev, c_prev), lo):
+        hn, cn, inp = layer_step(net.layers[idx], inp, hp, cp,
+                                 None if masks is None else masks[idx], cache, sig)
+        h.append(hn)
+        c.append(cn)
+    if lo + len(h) == len(net.layers):
+        inp = inp @ net.output.w + net.output.b
+    return inp, h, c
+
+
+def layer_step(layer, inp, h_prev, c_prev, mask, cache, sig):
+    """One layer's timestep, the one kernel: (h, c, up), where up, h times
+    the mask (h itself without one), is the input of the layer above or of
+    the head. sig is the gates' sigmoid (`mathkit.sigmoid`)."""
+    # inp @ wx + h_prev @ wh + b is accumulated in place, (..., B, 4H) like h,
+    # then gate-major (4, ..., B, H), copied if B > 1: each gate a row of z
+    shape = h_prev.shape
+    lead = len(shape) - 1
+    a = inp @ layer.wx
+    a += h_prev @ layer.wh
+    a += layer.b
+    z = np.ascontiguousarray(a.reshape(shape[:-1] + (4, shape[-1]))
+                             .transpose((lead, *range(lead), lead + 1)))
+    sig(z[:3], out=z[:3])
+    tanh_vec(z[3], out=z[3])
+    f, i, o, g = z
+    c = f * c_prev
+    c += i * g
+    tc = tanh_vec(c)
+    h = o * tc
+    up = h if mask is None else h * mask
+    if cache is not None:
+        cache.append({"z": z, "x_in": inp, "h_prev": h_prev, "c_prev": c_prev,
+                      "tc": tc, "mask": mask, "up": up})
+    return h, c, up
 
 
 def step(net: LstmNetwork, x: np.ndarray, state: LstmState):
@@ -287,16 +295,45 @@ def forward_frame(net, inputs: np.ndarray, state: LstmState, masks=None, caches=
     or None. Returns (logits (L, B, K), new_state), with the member axis in
     front for a stacked network. When `caches` is a list, each timestep
     appends its list of per-layer intermediates (`step_batch`'s cache).
+
+    Layer l at step t does not depend on layer l - 1 at step t + 1, so where
+    `overlap.offload` takes the top layer-step (asked once per frame), the
+    helper runs the upper half of the layers and the head of step t while
+    this thread runs the lower half of step t + 1: one task outstanding, none
+    left when this returns or raises, and `step_batch`'s bytes and cache
+    order. Otherwise, and for a 1-layer net, it runs `step_batch` per step.
     """
     length, batch, _ = inputs.shape
     logits = np.empty((*net.flat.shape[:-1], length, batch, net.num_classes))
-    for t in range(length):
-        cache = None if caches is None else []
-        logits[..., t, :, :], state = step_batch(net, inputs[t], state,
-                                                 None if masks is None else masks[t], cache)
-        if caches is not None:
-            caches.append(cache)
-    return logits, state
+    n, top = net.num_layers, net.layers[-1]
+    if n == 1 or not overlap.offload(state.h[-1].size * 4 * sum(top.dims)):
+        for t in range(length):
+            cache = None if caches is None else []
+            logits[..., t, :, :], state = step_batch(net, inputs[t], state,
+                                                     None if masks is None else masks[t], cache)
+            if caches is not None:
+                caches.append(cache)
+        return logits, state
+    mid, pending = (n + 1) // 2, None  # layer 0's narrow input: the odd layer goes below
+    lh, uh, lc, uc = state.h[:mid], state.h[mid:], state.c[:mid], state.c[mid:]
+    try:
+        for t in range(length):
+            mask = None if masks is None else masks[t]
+            cache = None if caches is None else []
+            up, lh, lc = _layers(net, 0, inputs[t], lh, lc, mask, cache, sigmoid)
+            if t:
+                logits[..., t - 1, :, :], uh, uc = overlap.wait(pending)
+            # mathkit's own sigmoid: a wrapper on this module's name (the
+            # benchmark's call counter) must only run on the calling thread
+            pending = overlap.submit(_layers, net, mid, up, uh, uc, mask, cache, mathkit.sigmoid)
+            if caches is not None:
+                caches.append(cache)
+        if length:
+            logits[..., -1, :, :], uh, uc = overlap.wait(pending)
+    finally:  # after a failure too, no task of this frame is left queued or running
+        if pending is not None:
+            overlap.settle(pending)
+    return logits, LstmState(lh + uh, lc + uc)
 
 
 def classify(logits: np.ndarray) -> np.ndarray:

@@ -1,22 +1,22 @@
-"""One helper thread that runs large matrix products beside the calling thread.
+"""One helper thread that runs large tasks beside the calling thread.
 
 At paper scale (2x256, B in the hundreds) a training step is a handful of
 matrix products of millions of multiply-adds each, and numpy releases the
-interpreter lock inside every one of them, so two independent products on two
-CPUs run at the same time. `network.step_batch` hands the helper each layer's
-recurrent product and `training.backward_frame` each layer-step's weight
-gradients; both keep every product's operands, association and order, so the
-results are bit for bit those of running the products inline.
+interpreter lock inside every one of them, so work on two CPUs runs at the
+same time. `network.forward_frame` hands the helper the upper half of the
+layers of each step (a layer wavefront) and `training.backward_frame` each
+layer-step's weight gradients; both keep every statement's operands,
+association and order, so the results are bit for bit those of running the
+tasks inline.
 
-This module alone decides where a product runs: `offload(macs)` is true when
-a product has at least MIN_MACS multiply-adds and the helper runs. Below
-that, handing one over costs more than it saves, so the kernels run it inline.
-The helper is one thread, started on the first such product, and only where
-`os.sched_setaffinity` exists and the process may run on at least 2 CPUs. It
-then pins the calling thread to the first allowed CPU and itself to the
-second: unpinned, the two threads can share one CPU and nothing overlaps.
-Elsewhere, and in a child forked after the helper started, no thread exists
-and every product runs inline.
+This module alone decides where a task runs: `offload(macs)` is true when a
+frame's top-layer task has at least MIN_MACS multiply-adds and the helper
+runs; below that, a hand-over costs more than it saves. The helper is one
+thread, started on the first such task, and only where `os.sched_setaffinity`
+exists and the process may run on at least 2 CPUs. It then pins the calling
+thread to the first allowed CPU and itself to the second: unpinned, the two
+threads can share one CPU and nothing overlaps. Elsewhere, and in a child
+forked after the helper started, no thread exists and every task runs inline.
 """
 
 from __future__ import annotations
@@ -25,14 +25,17 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-# multiply-adds of the smallest product handed to the helper. A hand-over
-# costs 15-40 us; timed inline and on the helper (1 BLAS thread, 2 vCPUs),
-# all but one of the step_batch and L=24 backward_frame shapes below 2^19
-# ran 1.03-3x slower on the helper (a 2x256 B=1 step ran 0.91-1.03x), and
-# every step_batch shape at 2^19 ran faster. Full scale's training and its
-# stacked (M >= 2) inference hand over; a lone 2x256 step and every desk
-# product stay inline.
-MIN_MACS = 1 << 19
+# multiply-adds of the smallest task handed to the helper: the top layer's
+# step, (M*B)(D_in+H)4H, in a forward frame, and its two weight-gradient
+# products, B(D_in+H)4H, in a backward frame. A hand-over costs 15-40 us, and
+# the wavefront waits on one every step. Timed inline and on the helper (1
+# BLAS thread, 2 vCPUs, L=24 frames, 300-sample streams): frames ran
+# 1.2-1.9x slower on the helper at 2^19 (2x64 B=16), mostly 1.1-1.4x at 2^20
+# and mostly faster from 2^21; B=1 streams of two stacked 2x256 members
+# (2^20) ran 0.76-0.90x, and backward tasks 0.87-1.26x at 2^20 and
+# 0.59-1.04x at 2^21. Full scale's training and its stacked (M >= 2) inference hand over;
+# a lone 2x256 network and every desk and stream task stay inline.
+MIN_MACS = 1 << 20
 
 _helper: ThreadPoolExecutor | bool | None = None  # None: not tried yet
 _start = threading.Lock()
@@ -40,7 +43,7 @@ _start = threading.Lock()
 
 def ready() -> ThreadPoolExecutor | bool:
     """The helper thread's executor, started on the first call; False where
-    no helper can run, so every product runs inline."""
+    no helper can run, so every task runs inline."""
     global _helper
     if _helper is None:
         with _start:
@@ -56,7 +59,7 @@ def ready() -> ThreadPoolExecutor | bool:
 
 
 def offload(macs: int) -> bool:
-    """Whether a product of `macs` multiply-adds goes to the helper."""
+    """Whether a task of `macs` multiply-adds goes to the helper."""
     return macs >= MIN_MACS and bool(ready())
 
 
@@ -72,6 +75,14 @@ def wait(task):
     exception the task raised is raised here."""
     future, fn, args = task
     return fn(*args) if future.cancel() else future.result()
+
+
+def settle(task) -> None:
+    """Leave the task neither queued nor running (taken back unrun, or
+    waited for), dropping its result or exception; for clean-up on failure."""
+    future = task[0]
+    if not future.cancel():
+        future.exception()
 
 
 def _forget() -> None:

@@ -159,9 +159,9 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
     time, top layer down, streams summed inside the matrix products), so
     results are bitwise reproducible.
 
-    Where `overlap.offload` takes the recurrent weight-gradient product,
-    each layer-step's two weight-gradient products are one helper task, at
-    most one outstanding, so every byte is the inline one; an exception a
+    Where `overlap.offload` takes the top layer's two weight-gradient
+    products, each layer-step's two are one helper task, at most one
+    outstanding, so every byte is the inline one; an exception a
     task raises is raised here.
     """
     length, batch, k = dlogits.shape
@@ -179,7 +179,7 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
     dh_rec = [np.zeros((batch, hidden)) for _ in range(n_layers)]
     dc_rec = [np.zeros((batch, hidden)) for _ in range(n_layers)]
     dz = np.empty((4, batch, hidden))
-    offload = overlap.offload(batch * hidden * 4 * hidden)
+    offload = overlap.offload(batch * sum(net.layers[-1].dims) * 4 * hidden)
     pending = None
     for t in reversed(range(length)):
         dup = dup_top[t]

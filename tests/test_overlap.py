@@ -1,7 +1,8 @@
 """The helper thread (lstmens.overlap): `overlap.offload` alone decides which
-products go to it, full-scale shapes go and small ones stay; with every product
-handed to it, the kernels give the same bytes as inline; failures surface; no
-thread starts where none can run, in a forked child, or at desk scale."""
+tasks go to it, full-scale shapes go and small ones stay; with every task
+handed to it, the layer wavefront and the backward give the same bytes as
+inline; failures surface and leave no task behind; no thread starts where
+none can run, in a forked child, or at desk scale."""
 
 import os
 import subprocess
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from lstmens import BaseLearner, Ensemble, ensemble_infer, infer_stream, init_network, overlap
-from lstmens import training
-from lstmens.network import LstmNetwork, step, step_batch
+from lstmens import network, training
+from lstmens.network import LstmNetwork, step
 from lstmens.rng import Rng
 from lstmens.training import (LossKind, backward_frame, bptt_frame, draw_dropout_masks,
                               forward_frame, random_check_frame)
@@ -39,7 +40,7 @@ def tasks(monkeypatch):
 
 @pytest.fixture
 def both_ways(monkeypatch, tasks):
-    """run(fn) -> (fn() inline, fn() with every product on the helper); the
+    """run(fn) -> (fn() inline, fn() with every task on the helper); the
     helper path must hand over at least one task."""
 
     def run(fn):
@@ -64,19 +65,26 @@ def _state_bytes(state) -> list[bytes]:
     return _bytes(*state.h, *state.c)
 
 
+def _cache_bytes(caches) -> list:
+    """Every entry of every step's per-layer cache dicts, in order."""
+    return [(key, None if value is None else _bytes(value)[0])
+            for cache in caches for entry in cache for key, value in entry.items()]
+
+
 @needs_two_cpus
 def test_full_scale_hands_over_and_a_lone_step_does_not(tasks):
     rng = Rng(11)
     nets = [init_network(6, 256, 4, num_layers=2, rng=rng) for _ in range(2)]
     x = rng.normal_block(6)
-    step(nets[0], x, nets[0].zero_state())  # 256 x 1024 multiply-adds per product
+    step(nets[0], x, nets[0].zero_state())  # step_batch alone never hands over
+    infer_stream(nets[0], x.reshape(1, 6))  # top layer-step: 512 x 1024 = 2^19
     assert not tasks
     ens = Ensemble([BaseLearner(net, j, LossKind.CE, 0.5) for j, net in enumerate(nets)])
-    ensemble_infer(ens, x.reshape(1, 6))  # two members' products as one: 2^19
-    assert {task[0] for task in tasks} == {np.matmul}
+    ensemble_infer(ens, x.reshape(1, 6))  # two members' layer-steps as one: 2^20
+    assert [task[0] for task in tasks] == [network._layers]
     tasks.clear()
     bptt_frame(nets[0], random_check_frame(nets[0], Rng(12), length=2, batch=128), LossKind.CE)
-    assert {task[0] for task in tasks} == {np.matmul, training._add_weight_grads}
+    assert [task[0] for task in tasks] == [network._layers] * 2 + [training._add_weight_grads] * 4
 
 
 @needs_two_cpus
@@ -133,6 +141,36 @@ def test_frames_are_bitwise_on_the_helper(both_ways, loss, batch):
 
 
 @needs_two_cpus
+@pytest.mark.parametrize("layers, members, batch",
+                         [(2, 1, 5), (3, 1, 4), (2, 2, 1), (3, 2, 1), (1, 1, 5)])
+def test_the_wavefront_is_bitwise(both_ways, tasks, layers, members, batch):
+    # the upper half of the layers (1 of 2, or 1 of 3) runs one step behind
+    # on the helper: one task per step, and caches, logits, carried state and
+    # gradients byte for byte the inline ones; a 1-layer net hands over none
+    rng = Rng(20 + layers)
+    nets = [init_network(4, 6, 3, num_layers=layers, rng=rng) for _ in range(members)]
+    net = nets[0] if members == 1 else LstmNetwork(np.stack([n.flat for n in nets]), nets[0].shape)
+    frame = random_check_frame(nets[0], Rng(30), length=7, batch=batch)
+    masks = draw_dropout_masks(Rng(31), layers, 7, batch, 6, 0.5)
+    dlogits = Rng(32).normal_block(7 * batch * 3).reshape(7, batch, 3)
+    state = net.zero_state(batch) if members > 1 else frame.state
+    forward_tasks = []
+
+    def frame_bytes():
+        caches = []
+        logits, new_state = forward_frame(net, frame.inputs, state, masks, caches)
+        forward_tasks.append([task[0] for task in tasks])
+        out = _bytes(logits) + _state_bytes(new_state) + _cache_bytes(caches)
+        if members == 1:  # the backward trains one network
+            out += _bytes(backward_frame(net, caches, dlogits).flat)
+        return out
+
+    inline, offloaded = both_ways(frame_bytes)
+    assert offloaded == inline
+    assert forward_tasks == [[], [network._layers] * 7 * (layers > 1)]
+
+
+@needs_two_cpus
 def test_inference_is_bitwise_on_the_helper(both_ways):
     rng = Rng(5)
     nets = [init_network(3, 5, 4, num_layers=2, rng=rng) for _ in range(3)]
@@ -176,6 +214,43 @@ def test_a_failing_task_surfaces_and_leaves_nothing_queued(monkeypatch):
     assert len(calls) == 3
 
 
+@needs_two_cpus
+@pytest.mark.parametrize("side", ["helper", "caller"])
+def test_a_failing_layer_step_surfaces_and_leaves_no_task(monkeypatch, side):
+    # the third upper-half task (on the helper) or the third lower half (on
+    # this thread) raises; either way the error surfaces from forward_frame,
+    # which leaves no task queued or running, and the next frame is inline's
+    net = init_network(3, 4, 2, num_layers=2, rng=Rng(36))
+    frame = random_check_frame(net, Rng(37), length=6, batch=3)
+    want = _bytes(forward_frame(net, frame.inputs, frame.state)[0])  # inline: 2x4 is small
+    layers, calls, ended = network._layers, [], []
+
+    def failing(net, lo, *args):
+        calls.append(lo)
+        if calls.count(lo) == 3 and (lo > 0) == (side == "helper"):
+            raise RuntimeError("layer-step failed")
+        out = layers(net, lo, *args)
+        if lo:
+            time.sleep(0.01)  # still running on the helper when the next step is due
+            ended.append(lo)
+        return out
+
+    monkeypatch.setattr(overlap, "MIN_MACS", 0)
+    assert overlap.ready()
+    monkeypatch.setattr(network, "_layers", failing)
+    with pytest.raises(RuntimeError, match="layer-step failed"):
+        forward_frame(net, frame.inputs, frame.state)
+    seen = list(calls), list(ended)
+    # tasks run first in, first out: once this probe has run on the helper,
+    # a task still queued or running when forward_frame raised would have
+    # added to calls or ended
+    assert overlap.ready().submit(len, calls).result(timeout=30) == len(seen[0])
+    assert (calls, ended) == seen
+    assert calls.count(1 if side == "helper" else 0) == 3
+    monkeypatch.setattr(network, "_layers", layers)
+    assert _bytes(forward_frame(net, frame.inputs, frame.state)[0]) == want
+
+
 @pytest.mark.parametrize("cpus", [{0}, None])
 def test_no_helper_without_two_cpus_or_pinning(monkeypatch, cpus):
     pinned = []
@@ -198,17 +273,17 @@ def test_no_helper_without_two_cpus_or_pinning(monkeypatch, cpus):
 @needs_two_cpus
 def test_a_forked_child_computes_inline(monkeypatch):
     net = init_network(3, 4, 2, num_layers=2, rng=Rng(10))
-    x, state = np.ones(3), net.zero_state()
-    want = _bytes(step_batch(net, x, state)[0])
+    frame = random_check_frame(net, Rng(11), length=2, batch=1)
+    want = _bytes(forward_frame(net, frame.inputs, frame.state)[0])
     monkeypatch.setattr(overlap, "MIN_MACS", 0)
     assert overlap.ready()
-    overlap.wait(overlap.submit(np.matmul, x, net.layers[0].wx))  # the helper thread runs
+    overlap.wait(overlap.submit(np.matmul, frame.inputs[0], net.layers[0].wx))  # the helper runs
     pid = os.fork()
-    if pid == 0:  # the child: one forced-offload product, then out without pytest's cleanup
+    if pid == 0:  # the child: one frame that asks for a hand-over, then out without pytest's cleanup
         ok = False
         try:
-            ok = (_bytes(step_batch(net, x, state)[0]) == want and overlap.ready() is False
-                  and threading.active_count() == 1)
+            ok = (_bytes(forward_frame(net, frame.inputs, frame.state)[0]) == want
+                  and overlap.ready() is False and threading.active_count() == 1)
         finally:
             os._exit(0 if ok else 1)
     deadline = time.monotonic() + 60
@@ -224,7 +299,7 @@ def test_a_forked_child_computes_inline(monkeypatch):
 def test_desk_training_starts_no_thread():
     # a fresh interpreter, unpinned: an earlier test in this process may have
     # started the helper and pinned this thread, and a child inherits the pin;
-    # the 20-epoch window is desk's largest product (82k)
+    # the 20-epoch window is desk's largest layer-step, 20 x 64 x 128 = 164k
     script = (
         "import os, threading\n"
         "if hasattr(os, 'sched_setaffinity'):\n"
