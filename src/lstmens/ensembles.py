@@ -78,7 +78,10 @@ def ensemble_infer(ensemble: Ensemble, xs) -> tuple[np.ndarray, np.ndarray]:
     The members run in lockstep with carried state: members of one shape
     (a mixed ensemble may hold several) are stacked and streamed by one
     `infer_stream` call, which advances all of them per sample in one
-    kernel step, each bit-identical to the member run alone. The per-sample
+    kernel step, each bit-identical to the member run alone. At full scale
+    (e.g. two or more 2x256 members) the stack is split by member: the
+    helper thread streams the second half while the calling thread streams
+    the first (`network.forward_frame`), with the same bytes. The per-sample
     probability vectors are fused by arithmetic mean (fixed member order)
     and labelled by argmax with lowest-index tie-breaking.
     Returns (fused probabilities (T, K), labels (T,)).

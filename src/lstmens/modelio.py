@@ -12,6 +12,8 @@ file and the header line or the parameter body at fault.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,32 +87,34 @@ def load_model(path) -> BaseLearner:
     with open(path, "rb") as fh:
         tag = fh.readline().decode("ascii", "replace").split()
         cfg_line = fh.readline()
-        body = fh.read()
-    if len(tag) != 2 or tag[0] != FORMAT_TAG:
-        fail("line 1", f"not a {FORMAT_TAG} model file")
-    if tag[1] == RETIRED_VERSION:
-        fail("line 1", f"model format {tag[1]} is retired, this version reads only "
-                       f"{FORMAT_VERSION}; retrain to write the file again")
-    if tag[1] != FORMAT_VERSION:
-        fail("line 1", f"incompatible format version {tag[1]!r}, expected {FORMAT_VERSION}")
-    cfg = cfg_line.decode("ascii", "replace").split()
-    if len(cfg) != 7:
-        fail("line 2", f"expected 7 header fields, got {len(cfg)}")
-    try:
-        d, h, k, n_layers = (int(v) for v in cfg[:4])
-    except ValueError:
-        fail("line 2", f"malformed dimension header: {' '.join(cfg)!r}")
-    if min(d, h, k, n_layers) < 1:
-        fail("line 2", f"invalid model dimensions D={d} H={h} K={k} layers={n_layers}")
-    try:
-        epoch, loss, val_f1 = snapshot_fields(cfg[5], cfg[4], cfg[6])
-    except ValueError as exc:
-        fail("line 2", str(exc))
+        if len(tag) != 2 or tag[0] != FORMAT_TAG:
+            fail("line 1", f"not a {FORMAT_TAG} model file")
+        if tag[1] == RETIRED_VERSION:
+            fail("line 1", f"model format {tag[1]} is retired, this version reads only "
+                           f"{FORMAT_VERSION}; retrain to write the file again")
+        if tag[1] != FORMAT_VERSION:
+            fail("line 1", f"incompatible format version {tag[1]!r}, expected {FORMAT_VERSION}")
+        cfg = cfg_line.decode("ascii", "replace").split()
+        if len(cfg) != 7:
+            fail("line 2", f"expected 7 header fields, got {len(cfg)}")
+        try:
+            d, h, k, n_layers = (int(v) for v in cfg[:4])
+        except ValueError:
+            fail("line 2", f"malformed dimension header: {' '.join(cfg)!r}")
+        if min(d, h, k, n_layers) < 1:
+            fail("line 2", f"invalid model dimensions D={d} H={h} K={k} layers={n_layers}")
+        try:
+            epoch, loss, val_f1 = snapshot_fields(cfg[5], cfg[4], cfg[6])
+        except ValueError as exc:
+            fail("line 2", str(exc))
 
-    net = LstmNetwork.zeros(d, h, k, n_layers)
-    if len(body) != net.flat.nbytes:
-        fail("parameters", f"expected {net.flat.nbytes} bytes, found {len(body)}")
-    net.flat[...] = np.frombuffer(body, dtype="<f8")
+        # the body goes straight into the network's buffer, with no copy
+        net = LstmNetwork.zeros(d, h, k, n_layers)
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != net.flat.nbytes or fh.readinto(net.flat.view(np.uint8)) != found:
+            fail("parameters", f"expected {net.flat.nbytes} bytes, found {found}")
+    if sys.byteorder == "big":  # the file is little-endian
+        net.flat.byteswap(inplace=True)
     if not np.isfinite(net.flat).all():
         name = next(name for name, arr in net.param_items() if not np.isfinite(arr).all())
         fail("parameters", f"tensor {name!r} contains non-finite values")

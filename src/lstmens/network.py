@@ -45,9 +45,12 @@ BLAS call as the 2-D product, so a stacked member's output is
 bit-identical to the member run alone, and streaming one sample at a time
 is bit-identical to whole-sequence inference.
 
-Where lstmens.overlap takes a frame, `forward_frame` runs the upper half of
-the layers on its helper thread one step behind the lower half (a layer
-wavefront); the bytes do not depend on where a layer-step ran.
+Where lstmens.overlap takes a frame, `forward_frame` shares it with the
+helper thread. A stack that keeps no caches (stacked inference, validation
+windows) runs half of its members there for the whole frame (a member
+split); anything else runs its upper layers there one step behind the lower
+ones (a layer wavefront). The bytes do not depend on where a member or a
+layer-step ran.
 """
 
 from __future__ import annotations
@@ -296,24 +299,24 @@ def forward_frame(net, inputs: np.ndarray, state: LstmState, masks=None, caches=
     front for a stacked network. When `caches` is a list, each timestep
     appends its list of per-layer intermediates (`step_batch`'s cache).
 
-    Layer l at step t does not depend on layer l - 1 at step t + 1, so where
-    `overlap.offload` takes the top layer-step (asked once per frame), the
-    helper runs the upper half of the layers and the head of step t while
-    this thread runs the lower half of step t + 1: one task outstanding, none
-    left when this returns or raises, and `step_batch`'s bytes and cache
-    order. Otherwise, and for a 1-layer net, it runs `step_batch` per step.
+    Where `overlap.offload` takes the top layer-step (asked once per frame),
+    the helper thread shares the frame. A stack of M >= 2 members that keeps
+    no caches is split by member (`_member_split`, one task). Otherwise the
+    layers form a wavefront: layer l at step t does not depend on layer
+    l - 1 at step t + 1, so the helper runs the upper half of the layers and
+    the head of step t while this thread runs the lower half of step t + 1,
+    one task outstanding. Either way no task is left when this returns or
+    raises, and the bytes and cache order are `step_batch`'s. Below the
+    threshold, and for a lone 1-layer net, it runs `step_batch` per step.
     """
     length, batch, _ = inputs.shape
     logits = np.empty((*net.flat.shape[:-1], length, batch, net.num_classes))
     n, top = net.num_layers, net.layers[-1]
-    if n == 1 or not overlap.offload(state.h[-1].size * 4 * sum(top.dims)):
-        for t in range(length):
-            cache = None if caches is None else []
-            logits[..., t, :, :], state = step_batch(net, inputs[t], state,
-                                                     None if masks is None else masks[t], cache)
-            if caches is not None:
-                caches.append(cache)
-        return logits, state
+    split = caches is None and net.flat.ndim > 1 and len(net.flat) > 1
+    if not (split or n > 1) or not overlap.offload(state.h[-1].size * 4 * sum(top.dims)):
+        return logits, _steps(step_batch, net, inputs, state, masks, caches, logits)
+    if split:
+        return logits, _member_split(net, inputs, state, masks, logits)
     mid, pending = (n + 1) // 2, None  # layer 0's narrow input: the odd layer goes below
     lh, uh, lc, uc = state.h[:mid], state.h[mid:], state.c[:mid], state.c[mid:]
     try:
@@ -334,6 +337,48 @@ def forward_frame(net, inputs: np.ndarray, state: LstmState, masks=None, caches=
         if pending is not None:
             overlap.settle(pending)
     return logits, LstmState(lh + uh, lc + uc)
+
+
+def _steps(step_fn, net, inputs, state, masks, caches, logits):
+    """The plain loop: step_fn(net, x, state, mask, cache) per timestep, its
+    logits written into logits[..., t, :, :]; returns the last state."""
+    for t in range(len(inputs)):
+        cache = None if caches is None else []
+        logits[..., t, :, :], state = step_fn(net, inputs[t], state,
+                                              None if masks is None else masks[t], cache)
+        if caches is not None:
+            caches.append(cache)
+    return state
+
+
+def _bare_step(net, x, state, mask, cache):
+    """`step_batch` on mathkit's own sigmoid, for either half of a member
+    split: the benchmark wraps this module's names, and a wrapper must only
+    run on the calling thread."""
+    logits, h, c = _layers(net, 0, x, state.h, state.c, mask, cache, mathkit.sigmoid)
+    return logits, LstmState(h, c)
+
+
+def _member_split(net, inputs, state, masks, logits):
+    """A stack's frame as two stacks, each the whole frame of the plain loop
+    over its own rows of the parameters, state and logits: rows [mid:] on
+    the helper, rows [:mid] here, the larger half at odd M (it timed faster
+    here than on the helper). Returns the carried state, each layer's rows
+    joined in member order."""
+    def half(rows):
+        return (_bare_step, LstmNetwork(net.flat[rows], net.shape), inputs,
+                LstmState([h[rows] for h in state.h], [c[rows] for c in state.c]),
+                masks, None, logits[rows])
+
+    mid = (len(net.flat) + 1) // 2
+    task = overlap.submit(_steps, *half(slice(mid, None)))
+    try:
+        low = _steps(*half(slice(mid)))
+        high = overlap.wait(task)
+    finally:  # after a failure too, the helper's half is neither queued nor running
+        overlap.settle(task)
+    return LstmState([np.concatenate(pair) for pair in zip(low.h, high.h)],
+                     [np.concatenate(pair) for pair in zip(low.c, high.c)])
 
 
 def classify(logits: np.ndarray) -> np.ndarray:

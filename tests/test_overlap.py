@@ -81,7 +81,9 @@ def test_full_scale_hands_over_and_a_lone_step_does_not(tasks):
     assert not tasks
     ens = Ensemble([BaseLearner(net, j, LossKind.CE, 0.5) for j, net in enumerate(nets)])
     ensemble_infer(ens, x.reshape(1, 6))  # two members' layer-steps as one: 2^20
-    assert [task[0] for task in tasks] == [network._layers]
+    # one task, the whole stream for member 1; member 0 streams on this thread
+    assert [task[:2] for task in tasks] == [(network._steps, network._bare_step)]
+    assert tasks[0][2].flat.tobytes() == nets[1].flat.tobytes()
     tasks.clear()
     bptt_frame(nets[0], random_check_frame(nets[0], Rng(12), length=2, batch=128), LossKind.CE)
     assert [task[0] for task in tasks] == [network._layers] * 2 + [training._add_weight_grads] * 4
@@ -168,6 +170,99 @@ def test_the_wavefront_is_bitwise(both_ways, tasks, layers, members, batch):
     inline, offloaded = both_ways(frame_bytes)
     assert offloaded == inline
     assert forward_tasks == [[], [network._layers] * 7 * (layers > 1)]
+
+
+def _stack(nets):
+    return LstmNetwork(np.stack([net.flat for net in nets]), nets[0].shape)
+
+
+def _random_state(net, batch, rng):
+    shape = (len(net.flat), batch, net.hidden_dim)
+    h, c = ([rng.normal_block(int(np.prod(shape))).reshape(shape) for _ in net.layers]
+            for _ in range(2))
+    return network.LstmState(h, c)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("members", [2, 3, 4])
+def test_the_member_split_is_bitwise(both_ways, tasks, members, batch, layers):
+    # a stack that keeps no caches splits by member, 1-layer stacks too: one
+    # task per frame, the helper's half of rows [(M+1)//2:]; logits and carried
+    # state byte for byte the inline ones, over a carried second frame and a
+    # masked one, and each member's logits those of the member run alone
+    rng = Rng(50 + 7 * members + batch + layers)
+    nets = [init_network(4, 6, 3, num_layers=layers, rng=rng) for _ in range(members)]
+    net = _stack(nets)
+    inputs = rng.normal_block(2 * 5 * batch * 4).reshape(2, 5, batch, 4)
+    state = _random_state(net, batch, rng)
+    masks = draw_dropout_masks(Rng(51), layers, 5, batch, 6, 0.5)
+    xs = rng.normal_block(9 * 4).reshape(9, 4)
+    frame_tasks = []
+
+    def split_bytes():
+        out, carried = [], state
+        for frame, frame_masks in zip(inputs, (None, masks)):
+            logits, carried = forward_frame(net, frame, carried, frame_masks)
+            out += _bytes(logits) + _state_bytes(carried)
+            frame_tasks.append(list(tasks))
+        out += _bytes(infer_stream(net, xs))
+        frame_tasks.append(list(tasks))
+        return out
+
+    inline, offloaded = both_ways(split_bytes)
+    assert offloaded == inline
+    assert [len(seen) for seen in frame_tasks] == [0, 0, 0, 1, 2, 3]
+    for task in frame_tasks[-1]:
+        assert task[:2] == (network._steps, network._bare_step)
+        assert task[2].flat.tobytes() == net.flat[(members + 1) // 2:].tobytes()
+    alone = np.stack([forward_frame(member, inputs[0], network.LstmState(
+        [h[j] for h in state.h], [c[j] for c in state.c]))[0] for j, member in enumerate(nets)])
+    assert _bytes(alone) == inline[:1]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("side", ["helper", "caller"])
+def test_a_failing_member_half_surfaces_and_leaves_no_task(monkeypatch, side):
+    # the third step of the helper's half (row 2) or of this thread's half
+    # (rows 0:2) raises; either way the error surfaces from forward_frame, the
+    # helper's half is neither queued nor running afterwards, and the next
+    # frame gives the inline bytes
+    rng = Rng(60)
+    net = _stack([init_network(3, 4, 2, num_layers=2, rng=rng) for _ in range(3)])
+    inputs = rng.normal_block(6 * 2 * 3).reshape(6, 2, 3)
+    want = _bytes(forward_frame(net, inputs, net.zero_state(2))[0])  # inline: 3x2x4 is small
+    bare_step, calls, started = network._bare_step, [], threading.Event()
+
+    def failing(half, *args):
+        mine = "helper" if len(half.flat) == 1 else "caller"
+        calls.append(mine)
+        if mine == "helper":
+            started.set()
+            time.sleep(0.01)  # still running on the helper when this thread's half is done
+        elif calls.count(mine) == 3:
+            assert started.wait(timeout=30)  # the helper's half is under way
+        if calls.count(mine) == 3 and mine == side:
+            raise RuntimeError("member half failed")
+        return bare_step(half, *args)
+
+    monkeypatch.setattr(overlap, "MIN_MACS", 0)
+    assert overlap.ready()
+    monkeypatch.setattr(network, "_bare_step", failing)
+    with pytest.raises(RuntimeError, match="member half failed"):
+        forward_frame(net, inputs, net.zero_state(2))
+    seen = list(calls)
+    # tasks run first in, first out: once this probe has run on the helper,
+    # a half still queued or running when forward_frame raised would have
+    # added to calls
+    assert overlap.ready().submit(len, calls).result(timeout=30) == len(seen)
+    assert calls == seen
+    assert calls.count(side) == 3
+    if side == "caller":  # the helper's half, under way at the raise, was waited for
+        assert calls.count("helper") == 6
+    monkeypatch.setattr(network, "_bare_step", bare_step)
+    assert _bytes(forward_frame(net, inputs, net.zero_state(2))[0]) == want
 
 
 @needs_two_cpus
