@@ -4,23 +4,30 @@
 Runs repeated trials of the full pipeline (synthesize an imbalanced activity
 stream, train with epoch-wise bagging under CE and F1 losses, fuse top-M
 snapshots, score sample-wise on the held-out test split), then prints a
-mean +/- std table with two-tailed Welch t-tests against the single-learner
-baseline.
+mean +/- std table with two-tailed paired t-tests over the seeds against the
+single-learner baseline. Trials run in worker processes, one per CPU this
+process may use (`run_trials`). Criterion 5 of the acceptance suite runs its
+trials through the same `run_trials`.
 
 Example:
     python scripts/toy_benchmark.py --trials 10 --max-epoch 20
 """
 
 import argparse
+import math
+import multiprocessing
 import os
 import re
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from lstmens import (
     BaggingConfig,
     LossKind,
     TrialSet,
+    TTestResult,
     apply_normalizer,
     confusion,
     ensemble_infer,
@@ -30,13 +37,18 @@ from lstmens import (
     mixed_ensemble,
     run_bagging,
     select_top_m,
+    significance_stars,
     synth_har,
-    t_test,
 )
 from lstmens.data import write_csv
+from lstmens.evaluation import student_t_two_tailed_p
+
+LOSSES = (LossKind.CE, LossKind.F1)
 
 
-def run_trial(seed: int, args) -> dict:
+def run_trial(seed: int, args, losses=LOSSES) -> dict:
+    """One seeded trial: test macro-F1 of each loss's best snapshot and top-M
+    ensemble, and of the mixed ensemble when both CE and F1 are trained."""
     seq = synth_har(args.d, args.k, args.t, "imbalanced", snr=args.snr, seed=seed)
     a, b = int(args.t * 0.8), int(args.t * 0.9)
     train, val, test = holdout_split(seq, (0, a), (a, b), (b, args.t))
@@ -44,7 +56,7 @@ def run_trial(seed: int, args) -> dict:
     train, val, test = (apply_normalizer(stats, s) for s in (train, val, test))
 
     runs = {}
-    for loss in (LossKind.CE, LossKind.F1):
+    for loss in losses:
         cfg = BaggingConfig(
             b_low=args.b_low, b_high=args.b_high, l_low=args.l_low,
             l_high=args.l_high, max_epoch=args.max_epoch, loss=loss,
@@ -58,15 +70,56 @@ def run_trial(seed: int, args) -> dict:
         return mean_f1(confusion(preds, test.z, args.k))
 
     m = args.m
-    return {
-        "single CE": score(select_top_m(runs[LossKind.CE], 1)),
-        "single F1": score(select_top_m(runs[LossKind.F1], 1)),
-        f"ensemble CE (M={m})": score(select_top_m(runs[LossKind.CE], m)),
-        f"ensemble F1 (M={m})": score(select_top_m(runs[LossKind.F1], m)),
-        f"mixed CE+F1 (M={2 * (m // 2)})": score(
-            mixed_ensemble([runs[LossKind.CE], runs[LossKind.F1]], m // 2)
-        ),
-    }
+    result = {f"single {loss.value}": score(select_top_m(runs[loss], 1)) for loss in losses}
+    for loss in losses:
+        result[f"ensemble {loss.value} (M={m})"] = score(select_top_m(runs[loss], m))
+    if all(loss in runs for loss in LOSSES):
+        result[f"mixed CE+F1 (M={2 * (m // 2)})"] = score(
+            mixed_ensemble([runs[loss] for loss in LOSSES], m // 2))
+    return result
+
+
+def _pin(cpus) -> None:
+    """Worker initializer: pin this process to a CPU that no other worker takes."""
+    os.sched_setaffinity(0, {cpus.get()})
+
+
+def run_trials(seeds, args, losses=LOSSES) -> list[dict]:
+    """run_trial for each seed, in seed order. Trials run in spawned worker
+    processes, one per CPU the calling thread may use and at most one per
+    trial, each pinned to a CPU of its own; serially where only one CPU is
+    free (as after `lstmens.overlap` has pinned the calling thread) or CPU
+    affinity is unsupported. A trial that raises in a worker raises here."""
+    seeds = list(seeds)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    cpus = cpus[:len(seeds)]
+    if len(cpus) < 2:
+        return [run_trial(seed, args, losses) for seed in seeds]
+    # spawn, not fork: a fork after OpenBLAS has started its threads can hang
+    ctx = multiprocessing.get_context("spawn")
+    free = ctx.SimpleQueue()
+    for cpu in cpus:
+        free.put(cpu)
+    pool = ProcessPoolExecutor(len(cpus), mp_context=ctx, initializer=_pin, initargs=(free,))
+    try:
+        return list(pool.map(partial(run_trial, args=args, losses=losses), seeds))
+    finally:  # after a failed trial, the trials not yet started are dropped
+        pool.shutdown(cancel_futures=True)
+
+
+def paired_t_test(a: TrialSet, b: TrialSet) -> TTestResult:
+    """Two-tailed paired t-test over the per-seed differences a - b, with
+    df = n - 1. Differences with zero spread give t = 0 and p = 1 when their
+    mean is 0, otherwise an infinite t and p = 0, as `t_test` does."""
+    diffs = a.scores - b.scores
+    mean, se = float(diffs.mean()), float(diffs.std(ddof=1)) / math.sqrt(diffs.size)
+    if se == 0.0:
+        t = 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
+    else:
+        t = mean / se
+    df = diffs.size - 1
+    p = student_t_two_tailed_p(t, df)
+    return TTestResult(t, p, df, significance_stars(p))
 
 
 def main() -> int:
@@ -94,9 +147,8 @@ def main() -> int:
 
     t0 = time.time()
     per_model: dict[str, list[float]] = {}
-    for i in range(args.trials):
-        seed = args.base_seed + i
-        result = run_trial(seed, args)
+    seeds = range(args.base_seed, args.base_seed + args.trials)
+    for i, (seed, result) in enumerate(zip(seeds, run_trials(seeds, args))):
         for name, f1 in result.items():
             per_model.setdefault(name, []).append(f1)
         joined = "  ".join(f"{name}={f1:.4f}" for name, f1 in result.items())
@@ -111,7 +163,7 @@ def main() -> int:
         if name == baseline.name:
             print(f"{name},{ts.mean:.4f},{ts.std:.4f},,,")
             continue
-        res = t_test(ts, baseline)
+        res = paired_t_test(ts, baseline)
         pairs.append((f"{name} vs {baseline.name}", res))
         print(f"{name},{ts.mean:.4f},{ts.std:.4f},{res.t:.3f},{res.p:.2e},{res.stars}")
 

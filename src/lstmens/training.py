@@ -162,7 +162,8 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
     Where `overlap.offload` takes the top layer's two weight-gradient
     products, each layer-step's two are one helper task, at most one
     outstanding, so every byte is the inline one; an exception a
-    task raises is raised here.
+    task raises is raised here, and no task is left when this returns or
+    raises.
     """
     length, batch, k = dlogits.shape
     hidden = net.hidden_dim
@@ -181,39 +182,44 @@ def backward_frame(net: LstmNetwork, caches, dlogits: np.ndarray) -> LstmNetwork
     dz = np.empty((4, batch, hidden))
     offload = overlap.offload(batch * sum(net.layers[-1].dims) * 4 * hidden)
     pending = None
-    for t in reversed(range(length)):
-        dup = dup_top[t]
-        for idx in reversed(range(n_layers)):
-            cc = caches[t][idx]
-            layer, glayer = net.layers[idx], gnet.layers[idx]
-            mask = cc["mask"]
-            dh = (dup if mask is None else dup * mask) + dh_rec[idx]
-            z, tc = cc["z"], cc["tc"]
-            f, i, o, g = z
-            dc = dh * o * (1.0 - tc * tc) + dc_rec[idx]
-            # rows 0-2 are dc*c_prev, dc*g and dh*tc, then times s and times
-            # (1 - s) of the three sigmoid gates, one call each for all three
-            np.multiply(dc, cc["c_prev"], out=dz[0])
-            np.multiply(dc, g, out=dz[1])
-            np.multiply(dh, tc, out=dz[2])
-            dz[:3] *= z[:3]
-            dz[:3] *= 1.0 - z[:3]
-            np.multiply(dc * i, 1.0 - g * g, out=dz[3])
-            # (B, 4H), a copy: a helper task may still read it when dz is refilled
-            da = dz.transpose(1, 0, 2).copy().reshape(batch, 4 * hidden)
-            if not offload:
-                _add_weight_grads(glayer, cc["x_in"], cc["h_prev"], da)
-            else:
-                if pending is not None:
-                    overlap.wait(pending)
-                pending = overlap.submit(_add_weight_grads, glayer, cc["x_in"], cc["h_prev"], da)
-            glayer.b += da.sum(axis=0)
-            if idx > 0:  # layer 0's input gradient would flow into the data
-                dup = da @ layer.wx.T
-            dh_rec[idx] = da @ layer.wh.T
-            dc_rec[idx] = dc * f
-    if pending is not None:
-        overlap.wait(pending)
+    try:
+        for t in reversed(range(length)):
+            dup = dup_top[t]
+            for idx in reversed(range(n_layers)):
+                cc = caches[t][idx]
+                layer, glayer = net.layers[idx], gnet.layers[idx]
+                mask = cc["mask"]
+                dh = (dup if mask is None else dup * mask) + dh_rec[idx]
+                z, tc = cc["z"], cc["tc"]
+                f, i, o, g = z
+                dc = dh * o * (1.0 - tc * tc) + dc_rec[idx]
+                # rows 0-2 are dc*c_prev, dc*g and dh*tc, then times s and times
+                # (1 - s) of the three sigmoid gates, one call each for all three
+                np.multiply(dc, cc["c_prev"], out=dz[0])
+                np.multiply(dc, g, out=dz[1])
+                np.multiply(dh, tc, out=dz[2])
+                dz[:3] *= z[:3]
+                dz[:3] *= 1.0 - z[:3]
+                np.multiply(dc * i, 1.0 - g * g, out=dz[3])
+                # (B, 4H), a copy: a helper task may still read it when dz is refilled
+                da = dz.transpose(1, 0, 2).copy().reshape(batch, 4 * hidden)
+                if not offload:
+                    _add_weight_grads(glayer, cc["x_in"], cc["h_prev"], da)
+                else:
+                    if pending is not None:
+                        overlap.wait(pending)
+                    pending = overlap.submit(_add_weight_grads, glayer, cc["x_in"],
+                                             cc["h_prev"], da)
+                glayer.b += da.sum(axis=0)
+                if idx > 0:  # layer 0's input gradient would flow into the data
+                    dup = da @ layer.wx.T
+                dh_rec[idx] = da @ layer.wh.T
+                dc_rec[idx] = dc * f
+        if pending is not None:
+            overlap.wait(pending)
+    finally:  # after a failure too, no task of this frame is left queued or running
+        if pending is not None:
+            overlap.settle(pending)
     return gnet
 
 

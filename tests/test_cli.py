@@ -352,6 +352,53 @@ def test_synth_nan_snr_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_length_below_two_writes_nothing(tmp_path, capsys):
+    code, _, err = run_cli(SYNTH + ["--t", "1", "--out", str(tmp_path / "data.csv")], capsys)
+    assert code == 1 and err.strip() == "error: length must be >= 2"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--b-low", "20", "--b-high", "10"], "bad mini-batch size range [20, 10]"),
+    (["--l-low", "40", "--l-high", "20"], "bad frame length range [40, 20]"),
+    (["--max-epoch", "0"], "max_epoch must be >= 1"),
+    (["--dropout", "1.0"], "dropout_p must be in [0, 1)"),
+    (["--split", "0.5,0.5,0.5"], "bad split fractions (0.5, 0.5, 0.5)"),
+])
+def test_train_bad_config_is_a_runtime_error_that_writes_nothing(flags, message, dataset,
+                                                                 tmp_path, capsys):
+    outdir = tmp_path / "run"
+    code, out, err = run_cli(["train", "--data", str(dataset), "--outdir", str(outdir)]
+                             + TRAIN_SMALL + flags, capsys)
+    assert code == 1 and err.strip() == f"error: {message}"
+    assert not outdir.exists() and "epoch" not in out
+
+
+def test_train_label_column_outside_the_rows(dataset, tmp_path, capsys):
+    outdir = tmp_path / "run"
+    code, _, err = run_cli(["train", "--data", str(dataset), "--outdir", str(outdir),
+                            "--label-col", "4"] + TRAIN_SMALL, capsys)
+    assert code == 1
+    assert err.strip() == f"error: {dataset} line 1: label column 4 outside row width 4"
+    assert not outdir.exists()
+
+
+def test_train_on_a_header_without_data_rows(tmp_path, capsys):
+    path, outdir = tmp_path / "data.csv", tmp_path / "run"
+    path.write_text("label,ch0,ch1,ch2\n")
+    code, _, err = run_cli(["train", "--data", str(path), "--outdir", str(outdir)]
+                           + TRAIN_SMALL, capsys)
+    assert code == 1 and err.strip() == f"error: {path} line 1: no data rows after the header"
+    assert not outdir.exists()
+
+
+def test_train_accepts_a_positive_rate(dataset, tmp_path, capsys):
+    outdir = tmp_path / "run"
+    code, _, _ = run_cli(["train", "--data", str(dataset), "--outdir", str(outdir), "--lr", "0.01"]
+                         + TRAIN_SMALL, capsys)
+    assert code == 0 and (outdir / "manifest.csv").exists()
+
+
 def test_coverage_small(capsys):
     code, out, _ = run_cli(
         ["coverage", "--t", "20000", "--epochs", "20", "--seed", "1"], capsys
@@ -393,6 +440,25 @@ def test_truncated_model_file_fails_fuse_naming_it(dataset, tmp_path, capsys):
     body = LstmNetwork.zeros(3, 6, 3, 2).flat.nbytes  # TRAIN_SMALL's shape on 3 channels
     assert err.strip() == (f"error: {model} parameters: expected {body} bytes, "
                            f"found {body - 16}")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda fields: fields[:6], "expected 7 header fields, got 6"),
+    (lambda fields: [b"3.5"] + fields[1:], "malformed dimension header: '{line}'"),
+    (lambda fields: [b"0"] + fields[1:], "invalid model dimensions D=0 H=6 K=3 layers=2"),
+])
+def test_bad_model_header_line_2_fails_fuse_naming_it(edit, message, dataset, tmp_path, capsys):
+    outdir, _ = _train_and_fuse(dataset, tmp_path, capsys, epochs="2")
+    model = outdir / "learner_e1_CE.lstm"
+    first, second, body = model.read_bytes().split(b"\n", 2)
+    line = b" ".join(edit(second.split()))
+    model.write_bytes(b"\n".join([first, line, body]))
+    out = tmp_path / "e.csv"
+    code, _, err = run_cli(["fuse", "--manifest", str(outdir / "manifest.csv"), "--m", "1",
+                            "--out", str(out)], capsys)
+    assert code == 1
+    assert err.strip() == f"error: {model} line 2: " + message.format(line=line.decode())
+    assert not out.exists()
 
 
 def test_infer_norm_file_without_mean_column_is_an_error(dataset, tmp_path, capsys):

@@ -346,6 +346,40 @@ def test_a_failing_layer_step_surfaces_and_leaves_no_task(monkeypatch, side):
     assert _bytes(forward_frame(net, frame.inputs, frame.state)[0]) == want
 
 
+@needs_two_cpus
+def test_a_failing_backward_step_leaves_no_task(monkeypatch):
+    # layer 0's cache entry at the last step is malformed and raises once the
+    # top layer's weight-gradient task runs on the helper; that task must
+    # have ended before the error surfaces from backward_frame
+    net = init_network(3, 4, 2, num_layers=2, rng=Rng(38))
+    frame = random_check_frame(net, Rng(39), length=4, batch=3)
+    caches = []
+    logits, _ = forward_frame(net, frame.inputs, frame.state, None, caches)
+    add, calls, ended, running = training._add_weight_grads, [], [], threading.Event()
+
+    class Malformed:
+        def __iter__(self):
+            assert running.wait(timeout=30)
+            raise ValueError("malformed cache entry")
+
+    def slow(*args):
+        calls.append(args)
+        running.set()
+        time.sleep(0.05)  # still running on the helper when layer 0 raises
+        add(*args)
+        ended.append(args)
+
+    caches[-1][0]["z"] = Malformed()
+    monkeypatch.setattr(overlap, "MIN_MACS", 0)
+    assert overlap.ready()
+    monkeypatch.setattr(training, "_add_weight_grads", slow)
+    with pytest.raises(ValueError, match="malformed cache entry"):
+        backward_frame(net, caches, np.ones_like(logits))
+    assert len(calls) == len(ended) == 1  # the top layer's task ran to its end
+    # tasks run first in, first out: once this probe has run on the helper, a
+    # task still queued or running when backward_frame raised would have run
+    assert overlap.ready().submit(len, calls).result(timeout=30) == 1
+    assert len(ended) == 1
 @pytest.mark.parametrize("cpus", [{0}, None])
 def test_no_helper_without_two_cpus_or_pinning(monkeypatch, cpus):
     pinned = []
